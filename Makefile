@@ -84,9 +84,14 @@ CORPUS_SEED ?= 1
 corpus-oracle:
 	go run ./cmd/pdwbench -corpus $(CORPUS_N) -corpus-seed $(CORPUS_SEED) -quick -oracle
 
-# Short fuzz pass over the corpus generator pipeline (the committed
-# seeds under internal/corpus/testdata/fuzz run in every `make test`).
+# Short fuzz pass over the corpus generator pipeline and every
+# wire-facing parser: assay documents, bench JSON, W3C traceparent and
+# pdw.v1 requests (committed seeds under testdata/fuzz run in every
+# `make test`).
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/corpus/ -run '^$$' -fuzz FuzzGenerate -fuzztime $(FUZZTIME)
 	go test ./internal/report/ -run '^$$' -fuzz FuzzReadBenchJSON -fuzztime $(FUZZTIME)
+	go test ./internal/assayio/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	go test ./internal/obs/reqlog/ -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)
+	go test ./internal/service/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)

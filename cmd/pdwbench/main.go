@@ -147,8 +147,9 @@ func main() {
 		return
 	}
 
-	// Observability wiring: any exporter flag enables the span/metric
-	// layer for the whole run.
+	// Observability wiring: any exporter flag enables span recording
+	// for the whole run. Metrics are always counted, so the bench file's
+	// metrics snapshot needs no flag.
 	var traceBuf *obs.TraceBuffer
 	if *traceOut != "" {
 		traceBuf = &obs.TraceBuffer{}
@@ -169,9 +170,6 @@ func main() {
 	}
 	if _, err := obs.ServeDebug("pdwbench", *listen); err != nil {
 		fatal(err)
-	}
-	if *jsonOut != "" || *baseline != "" {
-		obs.Enable() // the bench file embeds the metrics snapshot
 	}
 
 	opts := harness.Options{PDW: pdw.Options{

@@ -79,8 +79,9 @@ func main() {
 	}
 	logger := reqlog.NewLogger(os.Stderr, level)
 
-	// One process, one registry: solver metrics (pdw_*), service
-	// metrics (pdwd_*), and the Go runtime gauges share /metrics.
+	// Span recording feeds the flight recorder's per-request traces.
+	// Metrics need no flag: solver (pdw_*), service (pdwd_*) and Go
+	// runtime series share one registry on /metrics either way.
 	obs.Enable()
 	// Anomalous requests (overrun, shed, tail latency) trip a pprof
 	// capture; the bundles live on /debug/profiles and the triggering

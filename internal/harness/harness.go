@@ -91,11 +91,9 @@ func RunBenchmarkContext(ctx context.Context, b *benchmarks.Benchmark, opts Opti
 	unregister := obs.RegisterSolve("", "benchmark", b.Name, prog.Snapshot)
 	defer unregister()
 	defer func() {
-		if obs.Enabled() {
-			benchRunsTotal.Inc()
-			if err != nil {
-				benchErrorsTotal.Inc()
-			}
+		benchRunsTotal.Inc()
+		if err != nil {
+			benchErrorsTotal.Inc()
 		}
 		if span != nil {
 			span.SetAttr("ok", err == nil)
@@ -220,9 +218,7 @@ func RunPartial(ctx context.Context, benches []*benchmarks.Benchmark, opts Optio
 	if workers > len(benches) {
 		workers = len(benches)
 	}
-	if obs.Enabled() {
-		workersTotal.Set(int64(workers))
-	}
+	workersTotal.Set(int64(workers))
 	outs := make([]*Outcome, len(benches))
 	errs := make([]error, len(benches))
 	jobs := make(chan int)
@@ -232,13 +228,9 @@ func RunPartial(ctx context.Context, benches []*benchmarks.Benchmark, opts Optio
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if obs.Enabled() {
-					workersBusy.Add(1)
-				}
+				workersBusy.Add(1)
 				outs[i], errs[i] = RunBenchmarkContext(ctx, benches[i], opts)
-				if obs.Enabled() {
-					workersBusy.Add(-1)
-				}
+				workersBusy.Add(-1)
 			}
 		}()
 	}
@@ -257,15 +249,9 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-	if obs.Enabled() {
-		failed := 0
-		for _, err := range errs {
-			if err != nil {
-				failed++
-			}
-		}
-		if failed > 0 {
-			benchFailuresTotal.Add(int64(failed))
+	for _, err := range errs {
+		if err != nil {
+			benchFailuresTotal.Inc()
 		}
 	}
 	return outs, errs

@@ -19,24 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"pathdriverwash/internal/obs"
 	"pathdriverwash/internal/solve"
 )
-
-// Pivot-loop telemetry. The handles are resolved once at package load;
-// the loop itself pays one Enabled() load per ctxCheckEvery pivots
-// when disabled (see BenchmarkSimplexObsOverhead and the cost contract
-// in DESIGN.md).
-var (
-	lpSolvesTotal = obs.Default().Counter("pdw_lp_solves_total")
-	lpPivotsTotal = obs.Default().Counter("pdw_lp_simplex_pivots_total")
-)
-
-// slowSolvePivots is the pivot threshold above which a finished solve
-// is worth a retroactive span in the trace.
-const slowSolvePivots = 512
 
 // Rel is the relation of a constraint row.
 type Rel int
@@ -166,7 +151,9 @@ type Result struct {
 	X []float64
 	// Obj is the optimal objective value when Status == Optimal.
 	Obj float64
-	// Iterations counts simplex pivots across both phases.
+	// Iterations counts simplex pivots across both phases. It is set
+	// on every return, errors included, so a relaxation cut off by
+	// cancellation still accounts for the pivots it spent.
 	Iterations int
 }
 
@@ -212,26 +199,9 @@ func SolveContext(ctx context.Context, p *Problem) (Result, error) {
 	}
 	t.check = solve.NewCheckpoint(ctx)
 	t.prog = solve.ProgressFromContext(ctx)
-	var t0 time.Time
-	if obs.Enabled() {
-		t0 = time.Now()
-	}
 	res, err := t.solveTwoPhase()
 	t.flushProgress()
-	if obs.Enabled() {
-		lpSolvesTotal.Inc()
-		lpPivotsTotal.Add(int64(t.iters - t.flushed))
-		t.flushed = t.iters
-		if !t0.IsZero() && t.iters >= slowSolvePivots {
-			status := "error"
-			if err == nil {
-				status = res.Status.String()
-			}
-			obs.RecordSpan(ctx, "lp.simplex", t0, time.Since(t0),
-				obs.A("pivots", t.iters), obs.A("rows", t.m),
-				obs.A("cols", t.n), obs.A("status", status))
-		}
-	}
+	res.Iterations = t.iters
 	if err != nil || res.Status != Optimal {
 		return res, err
 	}
@@ -285,12 +255,11 @@ type tableau struct {
 	colOf   []int     // problem var -> structural column (-1 if eliminated)
 	rowName []string
 	iters   int
-	flushed int              // pivots already flushed to the obs counter
 	check   solve.Checkpoint // optional cancellation, polled every ctxCheckEvery pivots
 
 	// prog is the optional live progress view resolved once from the
 	// context at SolveContext; progFlushed tracks the pivots already
-	// published into it at the same ctxCheckEvery cadence as flushed.
+	// published into it at the ctxCheckEvery cadence.
 	prog        *solve.Progress
 	progFlushed int
 }
@@ -507,7 +476,7 @@ func (t *tableau) solveTwoPhase() (Result, error) {
 			}
 		}
 		if p1obj > feasTol*float64(1+t.m) {
-			return Result{Status: Infeasible, Iterations: t.iters}, nil
+			return Result{Status: Infeasible}, nil
 		}
 		// Drive remaining artificials out of the basis where possible.
 		if err := t.expelArtificials(); err != nil {
@@ -523,17 +492,17 @@ func (t *tableau) solveTwoPhase() (Result, error) {
 		// because finite upper bounds were encoded as rows.
 		for j := 0; j < ncols; j++ {
 			if t.cost[j] < -1e-8 {
-				return Result{Status: Unbounded, Iterations: t.iters}, nil
+				return Result{Status: Unbounded}, nil
 			}
 		}
-		return Result{Status: Optimal, X: make([]float64, t.n), Iterations: t.iters}, nil
+		return Result{Status: Optimal, X: make([]float64, t.n)}, nil
 	}
 	status, err := t.optimize(t.cost, ncols)
 	if err != nil {
 		return Result{}, err
 	}
 	if status == Unbounded {
-		return Result{Status: Unbounded, Iterations: t.iters}, nil
+		return Result{Status: Unbounded}, nil
 	}
 	x := make([]float64, t.n)
 	rhs := len(t.a[0]) - 1
@@ -542,7 +511,7 @@ func (t *tableau) solveTwoPhase() (Result, error) {
 			x[b] = t.a[ri][rhs]
 		}
 	}
-	return Result{Status: Optimal, X: x, Iterations: t.iters}, nil
+	return Result{Status: Optimal, X: x}, nil
 }
 
 // expelArtificials pivots basic artificial variables (at zero value) out
@@ -592,13 +561,6 @@ func (t *tableau) optimize(cost []float64, ncols int) (Status, error) {
 			return 0, ErrIterationLimit
 		}
 		if t.iters%ctxCheckEvery == 0 {
-			// Batched telemetry flush at the historical cancellation-check
-			// cadence: disabled cost is one atomic load per ctxCheckEvery
-			// pivots.
-			if obs.Enabled() && t.iters > t.flushed {
-				lpPivotsTotal.Add(int64(t.iters - t.flushed))
-				t.flushed = t.iters
-			}
 			t.flushProgress()
 			if err := t.check.Err(); err != nil {
 				return 0, err

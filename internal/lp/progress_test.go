@@ -2,10 +2,79 @@ package lp
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"pathdriverwash/internal/solve"
 )
+
+// pivotHeavyProblem builds the dense LP that BenchmarkProgressOverhead
+// and the progress tests solve.
+func pivotHeavyProblem(n int) *Problem {
+	p := NewProblem(n)
+	for v := 0; v < n; v++ {
+		p.Objective[v] = float64(-(v%7 + 1))
+	}
+	for r := 0; r < n-5; r++ {
+		c := map[int]float64{}
+		for v := 0; v < n; v++ {
+			c[v] = float64((v*r)%5 + 1)
+		}
+		p.AddConstraint(c, LE, float64(40+r), "cap")
+	}
+	return p
+}
+
+// coverProblem builds a seeded covering LP whose phase 1 takes ~200
+// pivots at n=40.
+func coverProblem(n int) *Problem {
+	rng := rand.New(rand.NewSource(1))
+	p := NewProblem(n)
+	for v := 0; v < n; v++ {
+		p.Objective[v] = float64(rng.Intn(9) + 1)
+	}
+	for r := 0; r < n; r++ {
+		c := map[int]float64{}
+		for v := 0; v < n; v++ {
+			c[v] = float64(rng.Intn(5))
+		}
+		p.AddConstraint(c, GE, float64(10+rng.Intn(20)), "cover")
+	}
+	return p
+}
+
+// expiringCtx reports cancellation from its n-th Err poll on, so a
+// solve is cut off mid-pivot-loop at a deterministic point.
+type expiringCtx struct {
+	context.Context
+	polls, n int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCanceledSolveReportsPivots pins the pivot accounting of a
+// relaxation cut off by cancellation: the error return carries the
+// pivots it spent, equal to what it published live.
+func TestCanceledSolveReportsPivots(t *testing.T) {
+	prog := solve.NewProgress()
+	ctx := &expiringCtx{Context: solve.WithProgress(context.Background(), prog), n: 100}
+	res, err := SolveContext(ctx, coverProblem(40))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Iterations == 0 {
+		t.Fatal("canceled solve reported no pivots; fixture cancels too early")
+	}
+	if got := prog.Snapshot().Pivots; got != int64(res.Iterations) {
+		t.Fatalf("progress pivots = %d, result iterations = %d", got, res.Iterations)
+	}
+}
 
 func TestProgressPivotsPublished(t *testing.T) {
 	prog := solve.NewProgress()

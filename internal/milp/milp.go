@@ -19,20 +19,23 @@ import (
 	"pathdriverwash/internal/solve"
 )
 
-// Branch & bound telemetry handles, resolved once at package load.
-// Updates inside the node loop are guarded by obs.Enabled(); each node
-// costs at least one LP solve, so the enabled cost is noise and the
-// disabled cost is one atomic load per node.
+// Branch & bound totals, resolved once at package load. The node loop
+// publishes only to the search's solve.Progress; these advance once
+// per finished search, from the same counts the search returns.
 var (
 	bbNodesTotal      = obs.Default().Counter("pdw_bb_nodes_total")
 	bbPrunedTotal     = obs.Default().Counter("pdw_bb_pruned_total")
 	bbIncumbentsTotal = obs.Default().Counter("pdw_bb_incumbents_total")
-	bbQueueDepth      = obs.Default().Gauge("pdw_bb_queue_depth")
+	lpPivotsTotal     = obs.Default().Counter("pdw_lp_simplex_pivots_total")
 )
 
 // bbBatchEvery is the node interval between bb-batch span events; a
 // 200k-node search contributes ~780 events to the trace.
 const bbBatchEvery = 256
+
+// slowRelaxationPivots is the pivot count from which a node relaxation
+// is worth a retroactive lp.simplex span in a traced search.
+const slowRelaxationPivots = 512
 
 // Problem is a linear program plus integrality marks.
 type Problem struct {
@@ -207,29 +210,31 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 	if len(p.Integer) != p.LP.NumVars {
 		return Result{}, fmt.Errorf("milp: Integer has %d marks for %d variables", len(p.Integer), p.LP.NumVars)
 	}
-	intVars := 0
-	for _, isInt := range p.Integer {
-		if isInt {
-			intVars++
-		}
-	}
 	ctx, span := obs.Start(ctx, "milp.bnb",
-		obs.A("vars", p.LP.NumVars), obs.A("int_vars", intVars),
+		obs.A("vars", p.LP.NumVars), obs.A("int_vars", p.intVars()),
 		obs.A("constraints", len(p.LP.Constraints)))
+
+	// The search's own counts. The loops below publish them live only
+	// to prog; the exit block adds them to the process totals once, so
+	// error returns still count the work they did.
+	var trajectory []solve.Incumbent
+	nodes, pruned, simplexIters := 0, 0, 0
 	defer func() {
 		status := "error"
 		if err == nil {
 			status = res.Status.String()
 		}
-		if obs.Enabled() {
-			obs.Default().Counter("pdw_milp_solves_total", "status", status).Inc()
-			obs.Default().Histogram("pdw_milp_wall_seconds", nil).Observe(time.Since(start).Seconds())
-		}
+		bbNodesTotal.Add(int64(nodes))
+		bbPrunedTotal.Add(int64(pruned))
+		bbIncumbentsTotal.Add(int64(len(trajectory)))
+		lpPivotsTotal.Add(int64(simplexIters))
+		obs.Default().Counter("pdw_milp_solves_total", "status", status).Inc()
+		obs.Default().Histogram("pdw_milp_wall_seconds", nil).Observe(time.Since(start).Seconds())
 		if span != nil {
 			span.SetAttr("status", status)
-			span.SetAttr("nodes", res.Nodes)
-			span.SetAttr("pruned", res.Pruned)
-			span.SetAttr("simplex_pivots", res.SimplexIters)
+			span.SetAttr("nodes", nodes)
+			span.SetAttr("pruned", pruned)
+			span.SetAttr("simplex_pivots", simplexIters)
 			span.End()
 		}
 	}()
@@ -267,18 +272,14 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 
 	var haveInc bool
 	var incX []float64
-	var trajectory []solve.Incumbent
-	simplexIters := 0
-	pruned := 0
 	incObj := math.Inf(1)
-	record := func(obj float64, nodes int) {
+	record := func(obj float64, atNode int) {
 		trajectory = append(trajectory, solve.Incumbent{
-			Obj: obj, Node: nodes, Elapsed: time.Since(start),
+			Obj: obj, Node: atNode, Elapsed: time.Since(start),
 		})
 		prog.Incumbent(obj)
-		if obs.Enabled() {
-			bbIncumbentsTotal.Inc()
-			span.Event("incumbent", obs.A("obj", obj), obs.A("node", nodes))
+		if span != nil {
+			span.Event("incumbent", obs.A("obj", obj), obs.A("node", atNode))
 		}
 	}
 	if opts.Incumbent != nil {
@@ -311,17 +312,29 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 			}
 		}
 		sub.Lower, sub.Upper = lo, hi
-		return lp.SolveContext(dctx, &sub)
+		if span == nil {
+			return lp.SolveContext(dctx, &sub)
+		}
+		t0 := time.Now()
+		res, err := lp.SolveContext(dctx, &sub)
+		if res.Iterations >= slowRelaxationPivots {
+			status := "error"
+			if err == nil {
+				status = res.Status.String()
+			}
+			obs.RecordSpan(ctx, "lp.simplex", t0, time.Since(t0),
+				obs.A("pivots", res.Iterations), obs.A("status", status))
+		}
+		return res, err
 	}
 
 	root := &node{bound: math.Inf(-1), fixLo: map[int]float64{}, fixHi: map[int]float64{}, branch: -1}
 	queue := &nodeQueue{root}
 	heap.Init(queue)
 	nextID := 1
-	nodes := 0
-	bestBound := math.Inf(-1)
-	hitLimit := false
+	hitLimit, unbounded := false, false
 
+search:
 	for queue.Len() > 0 {
 		if nodes >= maxNodes || canceled() || time.Now().After(deadline) {
 			hitLimit = true
@@ -334,9 +347,6 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 		if haveInc && n.bound >= incObj-1e-9 {
 			pruned++
 			prog.AddPruned(1)
-			if obs.Enabled() {
-				bbPrunedTotal.Inc()
-			}
 			continue // pruned by bound
 		}
 		res, err := solveNode(n)
@@ -351,21 +361,18 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 		}
 		nodes++
 		prog.AddNodes(1)
-		if obs.Enabled() {
-			bbNodesTotal.Inc()
-			bbQueueDepth.Set(int64(queue.Len()))
-			if nodes%bbBatchEvery == 0 {
-				span.Event("bb-batch",
-					obs.A("nodes", nodes), obs.A("queue", queue.Len()),
-					obs.A("pruned", pruned), obs.A("incumbent", incObj))
-			}
+		if span != nil && nodes%bbBatchEvery == 0 {
+			span.Event("bb-batch",
+				obs.A("nodes", nodes), obs.A("queue", queue.Len()),
+				obs.A("pruned", pruned), obs.A("incumbent", incObj))
 		}
 		switch res.Status {
 		case lp.Infeasible:
 			continue
 		case lp.Unbounded:
 			if n.branch < 0 && !haveInc {
-				return Result{Status: Unbounded, Nodes: nodes}, nil
+				unbounded = true
+				break search
 			}
 			// A branched subproblem relaxation can be unbounded only if
 			// the root was; treat as no useful bound and keep searching
@@ -375,9 +382,6 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 		if haveInc && res.Obj >= incObj-1e-9 {
 			pruned++
 			prog.AddPruned(1)
-			if obs.Enabled() {
-				bbPrunedTotal.Inc()
-			}
 			continue
 		}
 		frac := p.mostFractional(res.X)
@@ -406,8 +410,16 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 		heap.Push(queue, up)
 	}
 
+	out := Result{
+		Nodes: nodes, Pruned: pruned, SimplexIters: simplexIters,
+		Incumbents: trajectory, Wall: time.Since(start),
+	}
+	if unbounded {
+		out.Status = Unbounded
+		return out, nil
+	}
 	// Best remaining bound: min over open nodes, or incumbent if closed.
-	bestBound = incObj
+	bestBound := incObj
 	for _, n := range *queue {
 		if n.bound < bestBound {
 			bestBound = n.bound
@@ -416,10 +428,6 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 	// Publish the final bound so a proven optimum shows gap 0 on
 	// /debug/solves for the remainder of the root solve.
 	prog.SetBound(bestBound)
-	out := Result{
-		Nodes: nodes, Pruned: pruned, SimplexIters: simplexIters,
-		Incumbents: trajectory, Wall: time.Since(start),
-	}
 	if !hitLimit && queue.Len() == 0 {
 		if !haveInc {
 			out.Status = Infeasible
@@ -434,6 +442,28 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 	}
 	out.Status, out.Bound = Limit, bestBound
 	return out, nil
+}
+
+// Stat is the solve.Stats record of this search over p.
+func (r Result) Stat(label string, p *Problem) solve.MILPStat {
+	return solve.MILPStat{
+		Label: label,
+		Vars:  p.LP.NumVars, IntVars: p.intVars(),
+		Constraints: len(p.LP.Constraints),
+		Nodes:       r.Nodes, Pruned: r.Pruned, SimplexIters: r.SimplexIters,
+		Status: r.Status.String(), Optimal: r.Status == Optimal,
+		Wall: r.Wall, Incumbents: r.Incumbents,
+	}
+}
+
+func (p *Problem) intVars() int {
+	n := 0
+	for _, isInt := range p.Integer {
+		if isInt {
+			n++
+		}
+	}
+	return n
 }
 
 func padded(s []float64, n int, def float64) []float64 {

@@ -93,6 +93,15 @@ func TestUnboundedMILP(t *testing.T) {
 	if r.Status != Unbounded {
 		t.Fatalf("status = %v want unbounded", r.Status)
 	}
+	// The root-unbounded return carries its work and wall time like
+	// every other return.
+	st := r.Stat("unbounded", p)
+	if st.Status != "unbounded" || st.Optimal || st.Vars != 1 || st.IntVars != 0 {
+		t.Fatalf("stat %+v", st)
+	}
+	if st.Wall <= 0 || st.Nodes != 1 {
+		t.Fatalf("root-unbounded stat wall=%v nodes=%d, want a nonzero wall and 1 node", st.Wall, st.Nodes)
+	}
 }
 
 func TestIncumbentPruning(t *testing.T) {

@@ -144,7 +144,7 @@ func Handler() http.Handler {
 	return mux
 }
 
-// Serve enables the observability layer and serves Handler on addr
+// Serve enables span recording and serves Handler on addr
 // (e.g. "localhost:6060" or ":0") in a background goroutine. It
 // returns the bound address, usable when addr requested port 0.
 func Serve(addr string) (string, error) {

@@ -10,19 +10,20 @@
 // standard library, so every solver layer (lp, milp, washpath, pdw,
 // dawo, synth, harness) and both CLIs can depend on it without cycles.
 //
-// # Disabled-path cost contract
+// # Cost contract
 //
-// Observability is off by default and gated by one atomic flag.
-// While disabled:
+// Span recording is off by default and gated by one atomic flag; the
+// flag gates spans only. While disabled:
 //
 //   - Start returns (ctx, nil) after a single atomic load — no
 //     allocation, no context wrapping;
-//   - every *Span method is nil-safe and returns immediately;
-//   - hot-loop call sites guard metric updates with Enabled(), so the
-//     simplex pivot loop and the branch & bound node loop pay one
-//     predictable branch (see BenchmarkDisabled* and the lp package's
-//     BenchmarkSimplexObsOverhead for the measured cost, which must
-//     stay under 2% — DESIGN.md "Observability cost contract").
+//   - every *Span method is nil-safe and returns immediately.
+//
+// Metrics are always counted, once per finished search, phase or run,
+// and never inside a pivot or node loop: those loops publish only to
+// their solve.Progress, and the solver feeds the registry from the
+// same counts when it returns (DESIGN.md "Observability cost
+// contract"). No code outside this package calls Enabled.
 //
 // Enabling (cmd flags -listen, -trace, -events, or Enable directly)
 // turns on span recording and delivery to the registered sinks.
@@ -35,18 +36,18 @@ import (
 	"time"
 )
 
-// enabled is the process-wide gate. All recording paths check it
-// first; the disabled path must stay allocation-free.
+// enabled is the process-wide span gate. All span recording paths
+// check it first; the disabled path must stay allocation-free.
 var enabled atomic.Bool
 
-// Enable turns span recording on.
+// Enable turns span recording on. Metrics are counted either way.
 func Enable() { enabled.Store(true) }
 
 // Disable turns span recording off. Spans already started while
 // enabled still deliver to sinks on End.
 func Disable() { enabled.Store(false) }
 
-// Enabled reports whether the observability layer is recording.
+// Enabled reports whether spans are being recorded.
 func Enabled() bool { return enabled.Load() }
 
 // Attr is one key/value annotation on a span or event. Values must be
@@ -206,8 +207,9 @@ func (s *Span) End() {
 // RecordSpan delivers an already-timed region as a completed span
 // without the Start/End context dance: hot paths note time.Now() once
 // when enabled and call RecordSpan retroactively, paying the span
-// allocation only for regions that turn out to matter (e.g. the lp
-// package records a span only for pivot loops above a size threshold).
+// allocation only for regions that turn out to matter (e.g. milp
+// records an lp.simplex span only for node relaxations above a pivot
+// threshold).
 // The span parents under the span carried by ctx. No-op when disabled.
 func RecordSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...Attr) {
 	if !enabled.Load() {

@@ -90,17 +90,13 @@ type Engine struct {
 	armed    bool
 	lastDone time.Time
 
-	capturesTotal   func(reason string) // metric hooks, resolved at New
-	suppressedTotal *obs.Counter
+	suppressedTotal *obs.Counter // resolved at New
 }
 
 // New builds an Engine from cfg.
 func New(cfg Config) *Engine {
 	return &Engine{
-		cfg: cfg.withDefaults(),
-		capturesTotal: func(reason string) {
-			obs.Default().Counter("pdwd_profile_captures_total", "reason", reason).Inc()
-		},
+		cfg:             cfg.withDefaults(),
 		suppressedTotal: obs.Default().Counter("pdwd_profile_suppressed_total"),
 	}
 }
@@ -118,9 +114,7 @@ func (e *Engine) Trip(reason, requestID string) (id string, ok bool) {
 	e.mu.Lock()
 	if e.armed || (!e.lastDone.IsZero() && e.cfg.Cooldown > 0 && time.Since(e.lastDone) < e.cfg.Cooldown) {
 		e.mu.Unlock()
-		if obs.Enabled() {
-			e.suppressedTotal.Inc()
-		}
+		e.suppressedTotal.Inc()
 		return "", false
 	}
 	e.seq++
@@ -132,9 +126,7 @@ func (e *Engine) Trip(reason, requestID string) (id string, ok bool) {
 	e.insertLocked(c)
 	e.armed = true
 	e.mu.Unlock()
-	if obs.Enabled() {
-		e.capturesTotal(reason)
-	}
+	obs.Default().Counter("pdwd_profile_captures_total", "reason", reason).Inc()
 	go e.capture(c)
 	return c.ID, true
 }

@@ -168,6 +168,9 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 
 	insCtx, endInsertion := stats.StartPhaseContext(ctx, "wash-insertion")
 	cur := base
+	// plan is the last round's replan of base with washes; cur is its
+	// greedy schedule, which the final round found clean.
+	var plan *replan.Plan
 	var washes []replan.WashSpec
 	integrated := map[string]bool{}
 	rounds := 0
@@ -196,12 +199,10 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 			}
 			washes = append(washes, specs...)
 		}
-		plan, err := replan.Build(base, washes)
-		if err != nil {
+		if plan, err = replan.Build(base, washes); err != nil {
 			return nil, err
 		}
-		cur, err = plan.Greedy()
-		if err != nil {
+		if cur, err = plan.Greedy(); err != nil {
 			return nil, err
 		}
 	}
@@ -217,22 +218,24 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	}
 	stats.SetSkips(skipNames(firstSkips))
 
-	// Final time-window optimization (Eqs. 16-22 with disjunctions).
-	plan, err := replan.Build(base, washes)
-	if err != nil {
-		return nil, err
+	// Final time-window optimization (Eqs. 16-22 with disjunctions). A
+	// base that was already clean ran no round: re-time it greedily.
+	if plan == nil {
+		var err error
+		if plan, err = replan.Build(base, washes); err != nil {
+			return nil, err
+		}
+		if cur, err = plan.Greedy(); err != nil {
+			return nil, err
+		}
 	}
-	greedy, err := plan.Greedy()
-	if err != nil {
-		return nil, err
-	}
-	final := greedy
+	final := cur
 	// A done context skips the window MILP outright: its result would be
 	// the greedy warm-start (which final already is), and even building
 	// the model costs a pass over every edge pair.
 	if !opts.HeuristicWindows && len(washes) > 0 && cp.Err() == nil {
 		wctx, endWindows := stats.StartPhaseContext(ctx, "window-milp")
-		optimized, optimal, err := optimizeWindows(wctx, plan, greedy, opts.WindowTimeLimit, stats)
+		optimized, optimal, err := optimizeWindows(wctx, plan, cur, opts.WindowTimeLimit, stats)
 		endWindows()
 		if err == nil && optimized != nil {
 			if contam.Verify(optimized) == nil {
@@ -262,10 +265,8 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 		span.SetAttr("objective", res.Objective)
 		span.SetAttr("canceled", res.Stats.Canceled)
 	}
-	if obs.Enabled() {
-		obs.Default().Counter("pdw_optimize_runs_total").Inc()
-		obs.Default().Counter("pdw_washes_built_total").Add(int64(len(washes)))
-	}
+	obs.Default().Counter("pdw_optimize_runs_total").Inc()
+	obs.Default().Counter("pdw_washes_built_total").Add(int64(len(washes)))
 	return res, nil
 }
 

@@ -110,20 +110,7 @@ func optimizeWindows(ctx context.Context, plan *replan.Plan, greedy *schedule.Sc
 	if err != nil {
 		return nil, false, err
 	}
-	intVars := 0
-	for _, isInt := range prob.Integer {
-		if isInt {
-			intVars++
-		}
-	}
-	stats.AddMILP(solve.MILPStat{
-		Label: "window-milp",
-		Vars:  prob.LP.NumVars, IntVars: intVars,
-		Constraints: len(prob.LP.Constraints),
-		Nodes:       res.Nodes, Pruned: res.Pruned, SimplexIters: res.SimplexIters,
-		Status: res.Status.String(), Optimal: res.Status == milp.Optimal,
-		Wall: res.Wall, Incumbents: res.Incumbents,
-	})
+	stats.AddMILP(res.Stat("window-milp", prob))
 	if res.Status == milp.Infeasible {
 		return nil, false, fmt.Errorf("pdw: window MILP %w", solve.ErrInfeasible)
 	}

@@ -165,14 +165,30 @@ func TestResponseGolden(t *testing.T) {
 	}
 }
 
+// validRequestBody is a request DecodeRequest accepts; it also seeds
+// FuzzDecodeRequest.
+const validRequestBody = `{
+  "schema": "pdw.v1",
+  "method": "dawo",
+  "assay": {"name": "a", "operations": [], "edges": []},
+  "options": {"budget": {"total": "2s"}, "weights": {"alpha": 0.5}, "heuristic": true}
+}`
+
+// rejectedRequests are bodies DecodeRequest must refuse, by reason;
+// they also seed FuzzDecodeRequest.
+var rejectedRequests = map[string]string{
+	"unknown top-level field": `{"assay": {"name": "a"}, "options": {}, "bogus": 1}`,
+	"unknown option":          `{"assay": {"name": "a"}, "options": {"turbo": true}}`,
+	"unknown budget field":    `{"assay": {"name": "a"}, "options": {"budget": {"totall": "2s"}}}`,
+	"bad duration":            `{"assay": {"name": "a"}, "options": {"budget": {"total": "2 parsecs"}}}`,
+	"wrong schema":            `{"schema": "pdw.v9", "assay": {"name": "a"}, "options": {}}`,
+	"unknown method":          `{"method": "teleport", "assay": {"name": "a"}, "options": {}}`,
+	"trailing data":           `{"assay": {"name": "a"}, "options": {}} {"again": true}`,
+	"not json":                `hello`,
+}
+
 func TestDecodeRequest(t *testing.T) {
-	body := `{
-	  "schema": "pdw.v1",
-	  "method": "dawo",
-	  "assay": {"name": "a", "operations": [], "edges": []},
-	  "options": {"budget": {"total": "2s"}, "weights": {"alpha": 0.5}, "heuristic": true}
-	}`
-	req, err := DecodeRequest(strings.NewReader(body))
+	req, err := DecodeRequest(strings.NewReader(validRequestBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,17 +201,7 @@ func TestDecodeRequest(t *testing.T) {
 }
 
 func TestDecodeRequestRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown top-level field": `{"assay": {"name": "a"}, "options": {}, "bogus": 1}`,
-		"unknown option":          `{"assay": {"name": "a"}, "options": {"turbo": true}}`,
-		"unknown budget field":    `{"assay": {"name": "a"}, "options": {"budget": {"totall": "2s"}}}`,
-		"bad duration":            `{"assay": {"name": "a"}, "options": {"budget": {"total": "2 parsecs"}}}`,
-		"wrong schema":            `{"schema": "pdw.v9", "assay": {"name": "a"}, "options": {}}`,
-		"unknown method":          `{"method": "teleport", "assay": {"name": "a"}, "options": {}}`,
-		"trailing data":           `{"assay": {"name": "a"}, "options": {}} {"again": true}`,
-		"not json":                `hello`,
-	}
-	for name, body := range cases {
+	for name, body := range rejectedRequests {
 		if _, err := DecodeRequest(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted %s", name, body)
 		} else if !errors.Is(err, solve.ErrInvalidAssay) {

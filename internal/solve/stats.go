@@ -102,9 +102,9 @@ func (s *Stats) Progress() *Progress {
 
 // StartPhase opens a named phase and returns the closer that records
 // its wall time. Usage: defer s.StartPhase("window-milp")(). The
-// closer also feeds the process-wide pdw_phase_seconds histogram when
-// the observability layer is enabled, so Stats and the metrics
-// registry stay consistent without parallel bookkeeping at call sites.
+// closer also feeds the process-wide pdw_phase_seconds histogram, so
+// Stats and the metrics registry stay consistent without parallel
+// bookkeeping at call sites.
 func (s *Stats) StartPhase(name string) func() {
 	if s == nil {
 		return func() {}
@@ -113,10 +113,7 @@ func (s *Stats) StartPhase(name string) func() {
 	t0 := time.Now()
 	return func() {
 		wall := time.Since(t0)
-		if obs.Enabled() {
-			obs.Default().Histogram("pdw_phase_seconds", nil, "phase", name).
-				Observe(wall.Seconds())
-		}
+		obs.Default().Histogram("pdw_phase_seconds", nil, "phase", name).Observe(wall.Seconds())
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.Phases = append(s.Phases, PhaseStat{Name: name, Wall: wall})
@@ -181,16 +178,13 @@ func (s *Stats) AddMILP(m MILPStat) {
 }
 
 // SetSkips records the wash-necessity skip counts, mirroring them to
-// the pdw_necessity_skips_total counter family when observability is
-// enabled.
+// the pdw_necessity_skips_total counter family.
 func (s *Stats) SetSkips(skips map[string]int) {
 	if s == nil {
 		return
 	}
-	if obs.Enabled() {
-		for reason, n := range skips {
-			obs.Default().Counter("pdw_necessity_skips_total", "reason", reason).Add(int64(n))
-		}
+	for reason, n := range skips {
+		obs.Default().Counter("pdw_necessity_skips_total", "reason", reason).Add(int64(n))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -246,10 +246,8 @@ func buildILP(ctx context.Context, chip *grid.Chip, req Request, opts Options, h
 			span.SetAttr("ok", err == nil)
 			span.End()
 		}
-		if obs.Enabled() {
-			obs.Default().Counter("pdw_washpath_ilps_total").Inc()
-			obs.Default().Counter("pdw_washpath_cut_rounds_total").Add(int64(rounds))
-		}
+		obs.Default().Counter("pdw_washpath_ilps_total").Inc()
+		obs.Default().Counter("pdw_washpath_cut_rounds_total").Add(int64(rounds))
 	}()
 
 	cp := solve.NewCheckpoint(ctx)
@@ -277,14 +275,7 @@ func buildILP(ctx context.Context, chip *grid.Chip, req Request, opts Options, h
 		if err != nil {
 			return Plan{}, err
 		}
-		opts.Trace.AddMILP(solve.MILPStat{
-			Label: label,
-			Vars:  prob.LP.NumVars, IntVars: prob.LP.NumVars,
-			Constraints: len(prob.LP.Constraints),
-			Nodes:       res.Nodes, Pruned: res.Pruned, SimplexIters: res.SimplexIters,
-			Status: res.Status.String(), Optimal: res.Status == milp.Optimal,
-			Wall: res.Wall, Incumbents: res.Incumbents,
-		})
+		opts.Trace.AddMILP(res.Stat(label, prob))
 		if res.Status == milp.Infeasible {
 			return Plan{}, fmt.Errorf("washpath: ILP %w", solve.ErrInfeasible)
 		}

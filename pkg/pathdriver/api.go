@@ -30,11 +30,9 @@ type Weights struct {
 // Options is the canonical knob set of the solve pipeline, shared by
 // OptimizeWash, Baseline, and Solve, and reused verbatim as the
 // "options" object of the pdwd wire schema (DESIGN.md "Wire schema
-// v1"). It replaces the three divergent option structs of the old API
-// (SynthConfig stays — it configures the substrate, not the solve;
-// PDWOptions and DAWOOptions remain as deprecated aliases). The zero
-// value enables every technique with the paper's parameters and no
-// deadline.
+// v1"). SynthConfig stays separate: it configures the substrate, not
+// the solve. The zero value enables every technique with the paper's
+// parameters and no deadline.
 type Options struct {
 	// Budget bounds the solve end to end: Total is enforced as a
 	// context deadline over the whole pipeline, PerPath and Window cap

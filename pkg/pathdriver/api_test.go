@@ -90,3 +90,31 @@ func TestSolveCanceledBeforeStart(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
+
+// TestOptionsLowering pins the field mapping from the shared Options to
+// the per-optimizer structs.
+func TestOptionsLowering(t *testing.T) {
+	o := Options{
+		Budget:      Budget{Total: time.Second, PerPath: 2 * time.Second, Window: 3 * time.Second},
+		Weights:     Weights{Alpha: 0.1, Beta: 0.2, Gamma: 0.7},
+		MergeRadius: 5, MaxRounds: 7, Heuristic: true,
+		DisableNecessity: true, DisableMerge: true, DisableIntegration: true,
+	}
+	p := o.pdwOptions()
+	if p.Alpha != 0.1 || p.Beta != 0.2 || p.Gamma != 0.7 {
+		t.Fatalf("weights not lowered: %+v", p)
+	}
+	if p.Budget != o.Budget || p.MergeRadius != 5 || p.MaxRounds != 7 {
+		t.Fatalf("budget/knobs not lowered: %+v", p)
+	}
+	if !p.HeuristicPaths || !p.HeuristicWindows {
+		t.Fatal("Heuristic must select both heuristic paths and windows")
+	}
+	if !p.DisableNecessity || !p.DisableMerge || !p.DisableIntegration {
+		t.Fatal("ablation switches not lowered")
+	}
+	d := o.dawoOptions()
+	if d.Budget != o.Budget || d.MaxRounds != 7 {
+		t.Fatalf("DAWO lowering wrong: %+v", d)
+	}
+}

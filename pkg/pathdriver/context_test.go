@@ -10,13 +10,13 @@ import (
 func TestContextAPIEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	a := buildAssay(t)
-	syn, err := SynthesizeContext(ctx, a, SynthConfig{
+	syn, err := Synthesize(ctx, a, SynthConfig{
 		Devices: []DeviceSpec{{Kind: "mixer", Count: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizeWashContext(ctx, syn.Schedule, PDWOptions{
+	res, err := OptimizeWash(ctx, syn.Schedule, Options{
 		Budget: Budget{Total: 10 * time.Second, PerPath: time.Second, Window: 2 * time.Second},
 	})
 	if err != nil {
@@ -28,14 +28,14 @@ func TestContextAPIEndToEnd(t *testing.T) {
 	if res.Stats == nil || len(res.Stats.Phases) == 0 {
 		t.Fatal("no solve stats on PDWResult")
 	}
-	base, err := BaselineContext(ctx, syn.Schedule, DAWOOptions{})
+	base, err := Baseline(ctx, syn.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyClean(base.Schedule); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := CompressBaseContext(ctx, syn.Schedule, time.Second)
+	ref, err := CompressBase(ctx, syn.Schedule, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCanceledContextDegradesNotErrors(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := OptimizeWashContext(ctx, syn.Schedule, PDWOptions{})
+	res, err := OptimizeWash(ctx, syn.Schedule, Options{})
 	if err != nil {
 		t.Fatalf("canceled optimize must degrade, not error: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestCanceledContextDegradesNotErrors(t *testing.T) {
 		t.Error("Stats.Canceled not set")
 	}
 	// Synthesis, by contrast, aborts at entry under a done context.
-	if _, err := SynthesizeContext(ctx, a, SynthConfig{}); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := Synthesize(ctx, a, SynthConfig{}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }

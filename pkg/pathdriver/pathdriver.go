@@ -23,9 +23,7 @@
 //
 // Synthesize stands in for the PathDriver+ tool (chip architecture and
 // wash-free scheduling); OptimizeWash is the paper's contribution;
-// Baseline is the DAWO comparator used in the evaluation. The
-// pre-redesign names (SynthesizeContext, OptimizeWashContext, ...) live
-// on as deprecated wrappers in deprecated.go.
+// Baseline is the DAWO comparator used in the evaluation.
 package pathdriver
 
 import (
@@ -49,9 +47,7 @@ import (
 type (
 	// Budget bounds a solve: Total is the end-to-end deadline applied as
 	// a context deadline; PerPath and Window cap the wash-path ILPs and
-	// the time-window MILP. It replaces the scattered per-phase
-	// PathTimeLimit / WindowTimeLimit / TimeLimit options, which remain
-	// as deprecated aliases.
+	// the time-window MILP.
 	Budget = solve.Budget
 	// SolveStats is the structured telemetry attached to PDWResult and
 	// DAWOResult: per-phase wall times, branch-and-bound node and pruning

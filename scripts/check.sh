@@ -8,7 +8,8 @@
 # corpus generator whose sweeps are sharded across processes, the
 # synthesis layer whose checkpointed scheduler aborts race deadline
 # expiry from the context's timer goroutine, and the solve service's
-# admission/cache/coalescing machinery plus its scaled-down soak).
+# admission/cache/coalescing machinery plus its scaled-down soak), and
+# the bench module's vet and tests.
 #
 # The full (non-short) suite, including the complete Table II sweeps,
 # is `go test ./...` and takes many minutes on a small machine.
@@ -26,6 +27,22 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# One telemetry path: metrics are always counted, so nothing outside
+# the obs package may branch on its span flag, and the simplex core
+# publishes only to solve.Progress.
+echo "==> telemetry gates"
+gated=$(grep -rln --include='*.go' --exclude='*_test.go' 'obs\.Enabled()' cmd internal pkg examples bench |
+    grep -v '^internal/obs/' || true)
+if [ -n "$gated" ]; then
+    echo "obs.Enabled() gates only span recording inside internal/obs; called from:" >&2
+    echo "$gated" >&2
+    exit 1
+fi
+if go list -f '{{.Imports}}' ./internal/lp | grep -q 'pathdriverwash/internal/obs'; then
+    echo "internal/lp must not import internal/obs" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -34,5 +51,10 @@ go test -short ./...
 
 echo "==> go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service"
 go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service
+
+# The benchmark harness is its own module (bench/go.mod), so the root
+# `go test ./...` skips it even though it builds on solve.Stats and obs.
+echo "==> bench module: go vet ./... && go test ./..."
+(cd bench && go vet ./... && go test ./...)
 
 echo "All checks passed."
