@@ -1,86 +1,71 @@
-package lp
+package lp_test
 
 import (
 	"testing"
 
+	"pathdriverwash/internal/lp"
+	"pathdriverwash/internal/milp"
 	"pathdriverwash/internal/obs"
 )
 
-// pivotHeavyProblem builds a dense LP that takes a meaningful number
-// of simplex pivots, so the per-pivot instrumentation cost dominates
-// fixed setup in the overhead benchmarks.
-func pivotHeavyProblem(n int) *Problem {
-	p := NewProblem(n)
-	for v := 0; v < n; v++ {
-		p.Objective[v] = float64(-(v%7 + 1))
-	}
-	for r := 0; r < n-5; r++ {
-		c := map[int]float64{}
-		for v := 0; v < n; v++ {
-			c[v] = float64((v*r)%5 + 1)
-		}
-		p.AddConstraint(c, LE, float64(40+r), "cap")
-	}
-	return p
+// lp writes no metrics of its own: a relaxation's pivots reach
+// pdw_lp_simplex_pivots_total through the branch & bound search that
+// ran it, counted once when that search returns. These tests live in
+// the external package because milp imports lp.
+
+// asSearch wraps the dense LP as a MILP with no integer marks, so a
+// search of it explores exactly one node: the root relaxation.
+func asSearch() *milp.Problem {
+	p := lp.PivotHeavyProblem(30)
+	return &milp.Problem{LP: *p, Integer: make([]bool, p.NumVars)}
 }
 
 func TestObsCountersIncrease(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	solves0 := obs.Default().Counter("pdw_lp_solves_total").Value()
+	nodes0 := obs.Default().Counter("pdw_bb_nodes_total").Value()
 	pivots0 := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value()
 
-	res, err := Solve(pivotHeavyProblem(30))
+	direct, err := lp.Solve(lp.PivotHeavyProblem(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations == 0 {
+	if direct.Iterations == 0 {
 		t.Fatal("solve took no pivots; fixture too easy")
 	}
-	if got := obs.Default().Counter("pdw_lp_solves_total").Value() - solves0; got != 1 {
-		t.Errorf("lp solves counter moved by %d, want 1", got)
+	res, err := milp.Solve(asSearch(), milp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 1 || res.SimplexIters != direct.Iterations {
+		t.Fatalf("search = %d nodes, %d pivots; want 1 node, %d pivots",
+			res.Nodes, res.SimplexIters, direct.Iterations)
+	}
+	if got := obs.Default().Counter("pdw_bb_nodes_total").Value() - nodes0; got != 1 {
+		t.Errorf("relaxation counter moved by %d, want 1", got)
 	}
 	gotPivots := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value() - pivots0
-	if gotPivots != int64(res.Iterations) {
-		t.Errorf("pivot counter moved by %d, want %d", gotPivots, res.Iterations)
+	if gotPivots != int64(direct.Iterations) {
+		t.Errorf("pivot counter moved by %d, want %d", gotPivots, direct.Iterations)
 	}
 }
 
 func TestObsDisabledCountersStill(t *testing.T) {
 	obs.Disable()
 	pivots0 := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value()
-	if _, err := Solve(pivotHeavyProblem(30)); err != nil {
+	if _, err := lp.Solve(lp.PivotHeavyProblem(30)); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value(); got != pivots0 {
-		t.Errorf("disabled solve moved the pivot counter by %d", got-pivots0)
+		t.Errorf("bare lp solve moved the pivot counter by %d", got-pivots0)
 	}
-}
-
-// BenchmarkSimplexObsOverhead quantifies the observability tax on the
-// simplex pivot loop in both states. The acceptance contract
-// (DESIGN.md "Observability cost contract") is that the disabled
-// variant stays within 2% of an uninstrumented loop; its only cost is
-// one atomic load per ctxCheckEvery (64) pivots, so the two sub-
-// benchmarks should be statistically indistinguishable from each
-// other apart from the enabled variant's counter flushes.
-
-func BenchmarkSimplexObsOverhead(b *testing.B) {
-	b.Run("disabled", func(b *testing.B) {
-		obs.Disable()
-		for i := 0; i < b.N; i++ {
-			if _, err := Solve(pivotHeavyProblem(30)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		obs.Enable()
-		defer obs.Disable()
-		for i := 0; i < b.N; i++ {
-			if _, err := Solve(pivotHeavyProblem(30)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	// The span flag does not gate metrics: with it off, the search
+	// still counts its pivots at exit.
+	res, err := milp.Solve(asSearch(), milp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value() - pivots0; got != int64(res.SimplexIters) {
+		t.Errorf("disabled search moved the pivot counter by %d, want %d", got, res.SimplexIters)
+	}
 }
