@@ -37,6 +37,7 @@ import (
 	"pathdriverwash/internal/milp"
 	"pathdriverwash/internal/pdw"
 	"pathdriverwash/internal/route"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 	"pathdriverwash/internal/washpath"
 )
@@ -45,10 +46,8 @@ import (
 func benchOpts() harness.Options {
 	return harness.Options{
 		PDW: pdw.Options{
-			PathTimeLimit:   time.Second,
-			WindowTimeLimit: 3 * time.Second,
+			Budget: solve.Budget{PerPath: time.Second, Window: 3 * time.Second},
 		},
-		BaseCompressLimit: 2 * time.Second,
 	}
 }
 
@@ -181,7 +180,7 @@ func runAblation(b *testing.B, mutate func(*pdw.Options)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(syn.Schedule)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -318,7 +317,7 @@ func BenchmarkBaselineDemandDriven(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(syn.Schedule)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -424,7 +423,7 @@ func BenchmarkSweep_MergeRadius(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(syn.Schedule)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -455,7 +454,7 @@ func BenchmarkSweep_Dissolution(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+			ref, err := pdw.CompressBase(syn.Schedule)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -482,7 +481,7 @@ func BenchmarkSweep_Topology(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+			ref, err := pdw.CompressBase(syn.Schedule)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,6 +18,7 @@ import (
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/control"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -62,7 +63,7 @@ func main() {
 
 	sched := syn.Schedule
 	if *washed {
-		res, err := pdw.Optimize(syn.Schedule, pdw.Options{WindowTimeLimit: 10 * time.Second})
+		res, err := pdw.Optimize(syn.Schedule, pdw.Options{Budget: solve.Budget{Window: 10 * time.Second}})
 		if err != nil {
 			fatal(err)
 		}

@@ -106,7 +106,7 @@ func main() {
 		fmt.Println(syn.Chip.Render())
 	}
 
-	ref, err := pdw.CompressBase(syn.Schedule, 5*time.Second)
+	ref, err := pdw.CompressBase(syn.Schedule)
 	if err != nil {
 		fatal(err)
 	}

@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref, err := pathdriver.CompressBase(ctx, syn.Schedule, 5*time.Second)
+	ref, err := pathdriver.CompressBase(syn.Schedule)
 	if err != nil {
 		log.Fatal(err)
 	}

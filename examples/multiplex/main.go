@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"pathdriverwash/pkg/pathdriver"
 )
@@ -57,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref, err := pathdriver.CompressBase(ctx, syn.Schedule, 3*time.Second)
+	ref, err := pathdriver.CompressBase(syn.Schedule)
 	if err != nil {
 		log.Fatal(err)
 	}

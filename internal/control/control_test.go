@@ -9,6 +9,7 @@ import (
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 )
 
 // crossChip: a plus-shaped junction at (2,2) with a port on each end.
@@ -128,7 +129,7 @@ func TestBuildPlanOnWashedSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := pdw.Optimize(syn.Schedule, pdw.Options{
-		HeuristicWindows: true, PathTimeLimit: time.Second,
+		HeuristicWindows: true, Budget: solve.Budget{PerPath: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

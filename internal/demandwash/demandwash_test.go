@@ -9,6 +9,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -85,7 +86,7 @@ func TestSlowerThanPDW(t *testing.T) {
 		t.Fatal(err)
 	}
 	pd, err := pdw.Optimize(res.Schedule, pdw.Options{
-		PathTimeLimit: time.Second, WindowTimeLimit: 2 * time.Second,
+		Budget: solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package harness runs the paper's experiments: it synthesizes each
 // Table II benchmark, runs the DAWO baseline and PDW on the same
 // wash-free input scheduling, measures every reported quantity against
-// a fairly compressed wash-free reference, and assembles report rows
+// the wash-free reference (the input re-timed as soon as its
+// precedence DAG allows, pdw.CompressBase), and assembles report rows
 // for Table II, Fig. 4, and Fig. 5.
 package harness
 
@@ -43,15 +44,13 @@ type Options struct {
 	PDW pdw.Options
 	// DAWO forwards baseline options.
 	DAWO dawo.Options
-	// BaseCompressLimit bounds the wash-free reference LP (default 5 s).
-	BaseCompressLimit time.Duration
 }
 
 // Outcome is the full result of one benchmark run.
 type Outcome struct {
 	Benchmark *benchmarks.Benchmark
 	Row       report.Row
-	// Base is the wash-free input scheduling; Reference the compressed
+	// Base is the wash-free input scheduling; Reference the re-timed
 	// wash-free schedule used as the T_delay / waiting-time baseline.
 	Base, Reference *schedule.Schedule
 	DAWO            *dawo.Result
@@ -60,7 +59,7 @@ type Outcome struct {
 	DAWOTime, PDWTime time.Duration
 	// SynthTime and CompressTime are the shared setup stages that
 	// precede both optimizers (benchmark synthesis and the wash-free
-	// reference compression); together with the optimizers' solve.Stats
+	// reference); together with the optimizers' solve.Stats
 	// phases they give the bench file its per-phase breakdown.
 	SynthTime, CompressTime time.Duration
 }
@@ -76,11 +75,8 @@ func RunBenchmark(b *benchmarks.Benchmark, opts Options) (*Outcome, error) {
 // run still yields a valid, verified Outcome unless synthesis itself
 // was aborted at entry.
 func RunBenchmarkContext(ctx context.Context, b *benchmarks.Benchmark, opts Options) (_ *Outcome, err error) {
-	if opts.BaseCompressLimit <= 0 {
-		opts.BaseCompressLimit = 5 * time.Second
-	}
 	// The benchmark span is the root of the run's trace tree: synthesis,
-	// base compression, DAWO, and PDW all nest under it, so a Chrome
+	// the wash-free reference, DAWO, and PDW all nest under it, so a Chrome
 	// trace of a harness run shows one track per benchmark whose root
 	// span covers the run wall-to-wall.
 	ctx, span := obs.Start(ctx, "benchmark", obs.A("name", b.Name))
@@ -107,7 +103,7 @@ func RunBenchmarkContext(ctx context.Context, b *benchmarks.Benchmark, opts Opti
 	}
 	synthTime := time.Since(t0)
 	t0 = time.Now()
-	ref, err := pdw.CompressBaseContext(ctx, syn.Schedule, opts.BaseCompressLimit)
+	ref, err := pdw.CompressBase(syn.Schedule)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: compress base: %w", b.Name, err)
 	}

@@ -9,15 +9,14 @@ import (
 	"pathdriverwash/internal/benchmarks"
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 )
 
 func quickOpts() Options {
 	return Options{
 		PDW: pdw.Options{
-			PathTimeLimit:   500 * time.Millisecond,
-			WindowTimeLimit: 2 * time.Second,
+			Budget: solve.Budget{PerPath: 500 * time.Millisecond, Window: 2 * time.Second},
 		},
-		BaseCompressLimit: time.Second,
 	}
 }
 
@@ -97,14 +96,11 @@ func TestClampNonNegative(t *testing.T) {
 
 // deterministicOpts makes every solver phase wall-clock-independent:
 // heuristic paths and windows never consult a deadline, and DAWO's BFS
-// never did, so two sweeps — at any worker count — must agree bitwise.
-// (The base-compression LP is a deadline-checked solve, but its root
-// relaxation finishes in milliseconds; the generous limit keeps even a
-// heavily contended run off the deadline path.)
+// never did, and the wash-free reference runs no solver, so two sweeps
+// — at any worker count — must agree bitwise.
 func deterministicOpts() Options {
 	return Options{
-		PDW:               pdw.Options{HeuristicPaths: true, HeuristicWindows: true},
-		BaseCompressLimit: 30 * time.Second,
+		PDW: pdw.Options{HeuristicPaths: true, HeuristicWindows: true},
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"testing"
-	"time"
 
 	"pathdriverwash/internal/assay"
 	"pathdriverwash/internal/benchmarks"
@@ -70,7 +69,7 @@ func TestMotivatingExampleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(syn.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestRingTopologyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(syn.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -82,7 +83,7 @@ func TestStressLargeAssay(t *testing.T) {
 		t.Fatal(err)
 	}
 	pres, err := pdw.Optimize(syn.Schedule, pdw.Options{
-		PathTimeLimit: 300 * time.Millisecond, WindowTimeLimit: 5 * time.Second,
+		Budget:    solve.Budget{PerPath: 300 * time.Millisecond, Window: 5 * time.Second},
 		MaxRounds: 200,
 	})
 	if err != nil {

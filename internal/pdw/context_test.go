@@ -30,8 +30,7 @@ func pcrSchedule(t *testing.T) *Result {
 	errc := make(chan error, 1)
 	go func() {
 		res, err := OptimizeContext(ctx, syn.Schedule, Options{
-			PathTimeLimit:   10 * time.Second,
-			WindowTimeLimit: time.Minute,
+			Budget: solve.Budget{PerPath: 10 * time.Second, Window: time.Minute},
 		})
 		if err != nil {
 			errc <- err
@@ -84,23 +83,6 @@ func TestBudgetTotalDegradesGracefully(t *testing.T) {
 	}
 	if !out.Stats.Canceled {
 		t.Error("Stats.Canceled not set after budget expiry")
-	}
-}
-
-func TestBudgetFieldsWinOverDeprecatedLimits(t *testing.T) {
-	o := Options{
-		Budget:          solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
-		PathTimeLimit:   9 * time.Second,
-		WindowTimeLimit: 9 * time.Second,
-	}
-	w := o.withDefaults()
-	if w.PathTimeLimit != time.Second || w.WindowTimeLimit != 2*time.Second {
-		t.Fatalf("limits = %v/%v, want Budget fields to win", w.PathTimeLimit, w.WindowTimeLimit)
-	}
-	// Without Budget, the deprecated aliases still apply.
-	o = Options{PathTimeLimit: 4 * time.Second}
-	if w := o.withDefaults(); w.PathTimeLimit != 4*time.Second {
-		t.Fatalf("deprecated PathTimeLimit ignored: %v", w.PathTimeLimit)
 	}
 }
 

@@ -51,21 +51,11 @@ type Options struct {
 
 	// Budget bounds the run: Budget.Total sets a wall-clock deadline
 	// for the whole pipeline (enforced through the context, degrading
-	// every later phase to its incumbent on expiry), Budget.PerPath and
-	// Budget.Window cap the inner ILPs. Budget fields win over the
-	// deprecated per-phase fields below.
+	// every later phase to its incumbent on expiry), Budget.PerPath
+	// caps each wash-path ILP (default 3 s) and Budget.Window the
+	// time-window MILP (default 10 s).
 	Budget solve.Budget
 
-	// PathTimeLimit bounds each wash-path ILP (default 3 s).
-	//
-	// Deprecated: alias of Budget.PerPath, kept for callers of the
-	// pre-Budget API.
-	PathTimeLimit time.Duration
-	// WindowTimeLimit bounds the time-window MILP (default 10 s).
-	//
-	// Deprecated: alias of Budget.Window, kept for callers of the
-	// pre-Budget API.
-	WindowTimeLimit time.Duration
 	// MergeRadius is the Manhattan distance under which wash groups are
 	// merged into one path (default 4).
 	MergeRadius int
@@ -90,8 +80,8 @@ func (o Options) withDefaults() Options {
 	if o.Alpha == 0 && o.Beta == 0 && o.Gamma == 0 {
 		o.Alpha, o.Beta, o.Gamma = 0.3, 0.3, 0.4
 	}
-	o.PathTimeLimit = solve.Or(o.Budget.PerPath, o.PathTimeLimit, 3*time.Second)
-	o.WindowTimeLimit = solve.Or(o.Budget.Window, o.WindowTimeLimit, 10*time.Second)
+	o.Budget.PerPath = solve.Or(o.Budget.PerPath, 3*time.Second)
+	o.Budget.Window = solve.Or(o.Budget.Window, 10*time.Second)
 	if o.MergeRadius <= 0 {
 		o.MergeRadius = 4
 	}
@@ -235,7 +225,7 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	// the model costs a pass over every edge pair.
 	if !opts.HeuristicWindows && len(washes) > 0 && cp.Err() == nil {
 		wctx, endWindows := stats.StartPhaseContext(ctx, "window-milp")
-		optimized, optimal, err := optimizeWindows(wctx, plan, cur, opts.WindowTimeLimit, stats)
+		optimized, optimal, err := optimizeWindows(wctx, plan, cur, opts.Budget.Window, stats)
 		endWindows()
 		if err == nil && optimized != nil {
 			if contam.Verify(optimized) == nil {
@@ -318,7 +308,7 @@ func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Sch
 
 	cp.Err()
 	wopts := washpath.Options{Exact: !opts.HeuristicPaths && !cp.Canceled(),
-		TimeLimit: opts.PathTimeLimit, Trace: stats}
+		TimeLimit: opts.Budget.PerPath, Trace: stats}
 	plans, covered, err := washpath.BuildCoverContext(ctx, cur.Chip, g.Targets, wopts)
 	if err != nil {
 		return nil, fmt.Errorf("pdw: wash path for %v: %w", g.Targets, err)

@@ -9,6 +9,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -51,7 +52,7 @@ func TestFixtureActuallyNeedsWashes(t *testing.T) {
 
 // fastOpts keeps test solves quick.
 func fastOpts() Options {
-	return Options{PathTimeLimit: 2 * time.Second, WindowTimeLimit: 3 * time.Second}
+	return Options{Budget: solve.Budget{PerPath: 2 * time.Second, Window: 3 * time.Second}}
 }
 
 func TestOptimizeProducesCleanValidSchedule(t *testing.T) {

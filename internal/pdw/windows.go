@@ -131,19 +131,13 @@ func optimizeWindows(ctx context.Context, plan *replan.Plan, greedy *schedule.Sc
 	return sched, res.Status == milp.Optimal, nil
 }
 
-// CompressBase re-times the wash-free input schedule with the same
-// time-window optimization applied to washed schedules (no washes, so
-// the model is a pure LP over start times). It provides the fair
-// wash-free T_assay reference against which T_delay and waiting times
-// are measured; without it, PDW's ILP could look faster than the
-// greedy-scheduled input and report negative wash delay.
-func CompressBase(base *schedule.Schedule, limit time.Duration) (*schedule.Schedule, error) {
-	return CompressBaseContext(context.Background(), base, limit)
-}
-
-// CompressBaseContext is CompressBase under a context; a canceled ctx
-// falls back to the greedy schedule (never an error).
-func CompressBaseContext(ctx context.Context, base *schedule.Schedule, limit time.Duration) (*schedule.Schedule, error) {
+// CompressBase returns the wash-free reference that T_delay and
+// waiting times are measured against: the base re-timed greedily over
+// its precedence DAG. With no washes the window model has no
+// disjunctions, so its optimum is the DAG's longest path; every greedy
+// start is checked against it. Measuring against the unre-timed input
+// would let the window MILP compress greedy slack into negative delay.
+func CompressBase(base *schedule.Schedule) (*schedule.Schedule, error) {
 	plan, err := replan.Build(base, nil)
 	if err != nil {
 		return nil, err
@@ -152,14 +146,36 @@ func CompressBaseContext(ctx context.Context, base *schedule.Schedule, limit tim
 	if err != nil {
 		return nil, err
 	}
-	optimized, _, err := optimizeWindows(ctx, plan, greedy, limit, nil)
-	if err != nil || optimized == nil {
-		return greedy, nil
+	if err := checkEarliestStarts(plan, greedy); err != nil {
+		return nil, err
 	}
-	if optimized.Validate() != nil {
-		return greedy, nil
+	return greedy, nil
+}
+
+// checkEarliestStarts verifies that s starts every task of plan at its
+// earliest start, the longest path to it over the precedence DAG. A
+// later start means the greedy placer waited on a conflict-capable
+// pair the DAG leaves unordered.
+func checkEarliestStarts(plan *replan.Plan, s *schedule.Schedule) error {
+	order, err := plan.TopoOrder()
+	if err != nil {
+		return err
 	}
-	return optimized, nil
+	succs := make([][]int, len(plan.Tasks))
+	for _, e := range plan.Edges {
+		succs[e[0]] = append(succs[e[0]], e[1])
+	}
+	earliest := make([]int, len(plan.Tasks))
+	for _, i := range order {
+		id := plan.Tasks[i].ID
+		if got := s.Task(id).Start; got != earliest[i] {
+			return fmt.Errorf("pdw: reference task %s starts at %d, not at its longest-path start %d", id, got, earliest[i])
+		}
+		for _, j := range succs[i] {
+			earliest[j] = max(earliest[j], earliest[i]+plan.Durations[i])
+		}
+	}
+	return nil
 }
 
 // hazardPair reports whether flipping the pair's order against the

@@ -2,19 +2,22 @@ package pdw
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
+	"pathdriverwash/internal/benchmarks"
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/geom"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/replan"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 )
 
 func TestCompressBaseNeverSlower(t *testing.T) {
 	res := fixture(t)
-	ref, err := CompressBase(res.Schedule, 3*time.Second)
+	ref, err := CompressBase(res.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +30,79 @@ func TestCompressBaseNeverSlower(t *testing.T) {
 	}
 }
 
+// TestCompressBaseMatchesWindowMILP checks the reference against the
+// solver it replaced: on a wash-free plan the window MILP has no free
+// pairs, and it must prove optimal the same makespan.
+func TestCompressBaseMatchesWindowMILP(t *testing.T) {
+	names := []string{"fixture", "PCR", "Kinase act-1", "Synthetic1"}
+	bases := []*schedule.Schedule{fixture(t).Schedule}
+	for _, name := range names[1:] {
+		b, err := benchmarks.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syn, err := b.Synthesize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, syn.Schedule)
+	}
+	for i, base := range bases {
+		ref, err := CompressBase(base)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		plan, err := replan.Build(base, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedy, err := plan.Greedy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		milpRef, optimal, err := optimizeWindows(context.Background(), plan, greedy, time.Minute, nil)
+		if err != nil {
+			t.Fatalf("%s: window MILP: %v", names[i], err)
+		}
+		if !optimal {
+			t.Fatalf("%s: window MILP did not prove optimality", names[i])
+		}
+		if milpRef.Makespan() != ref.Makespan() {
+			t.Errorf("%s: reference makespan %d, window MILP optimum %d",
+				names[i], ref.Makespan(), milpRef.Makespan())
+		}
+	}
+}
+
+func TestEarliestStartCheckCatchesDelay(t *testing.T) {
+	plan, err := replan.Build(fixture(t).Schedule, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy, err := plan.Greedy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkEarliestStarts(plan, greedy); err != nil {
+		t.Fatalf("greedy schedule rejected: %v", err)
+	}
+	tasks := greedy.SortedByStart()
+	late := tasks[len(tasks)/2]
+	late.Start++
+	late.End++
+	err = checkEarliestStarts(plan, greedy)
+	if err == nil || !strings.Contains(err.Error(), late.ID) {
+		t.Fatalf("delaying %s: err = %v, want it named", late.ID, err)
+	}
+}
+
 func TestOptimizeWindowsMatchesGreedyOrBetter(t *testing.T) {
 	res := fixture(t)
 	// Run PDW's wash discovery only (heuristic windows), then compare
 	// the MILP result on the same wash set.
 	out, err := Optimize(res.Schedule, Options{
 		HeuristicWindows: true,
-		PathTimeLimit:    time.Second,
+		Budget:           solve.Budget{PerPath: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"pathdriverwash/internal/benchmarks"
 	"pathdriverwash/internal/pdw"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 )
 
 func TestEncodeRoundtripsThroughJSON(t *testing.T) {
@@ -21,7 +22,7 @@ func TestEncodeRoundtripsThroughJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := pdw.Optimize(syn.Schedule, pdw.Options{
-		HeuristicWindows: true, PathTimeLimit: time.Second,
+		HeuristicWindows: true, Budget: solve.Budget{PerPath: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -167,9 +167,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Once the status line is written a failed encode (client gone,
 		// broken pipe) has no recovery; count it so a storm of broken
 		// pipes stays visible on /metrics.

@@ -10,6 +10,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -51,7 +52,7 @@ func TestWashFreeScheduleHasContaminationOnly(t *testing.T) {
 func TestPDWScheduleSimulatesClean(t *testing.T) {
 	res := synthFixture(t)
 	out, err := pdw.Optimize(res.Schedule, pdw.Options{
-		PathTimeLimit: time.Second, WindowTimeLimit: 2 * time.Second,
+		Budget: solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestAllBenchmarksSimulateCleanUnderPDW(t *testing.T) {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		out, err := pdw.Optimize(syn.Schedule, pdw.Options{
-			PathTimeLimit: 500 * time.Millisecond, WindowTimeLimit: 2 * time.Second,
+			Budget: solve.Budget{PerPath: 500 * time.Millisecond, Window: 2 * time.Second},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
@@ -121,7 +122,7 @@ func min(a, b int) int {
 func TestFailureInjection(t *testing.T) {
 	res := synthFixture(t)
 	out, err := pdw.Optimize(res.Schedule, pdw.Options{
-		PathTimeLimit: time.Second, WindowTimeLimit: 2 * time.Second,
+		Budget: solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

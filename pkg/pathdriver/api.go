@@ -3,7 +3,6 @@ package pathdriver
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pathdriverwash/internal/assayio"
 	"pathdriverwash/internal/dawo"
@@ -14,7 +13,7 @@ import (
 // one canonical Options shape shared by every optimizer entry point
 // (and embedded verbatim in the pdwd wire schema), one canonical
 // Request/Response pair, and one Solve function that runs the whole
-// pipeline — synthesis, reference compression, wash optimization,
+// pipeline — synthesis, the wash-free reference, wash optimization,
 // metrics — under a single context and budget.
 
 // Weights are the objective weights of Eq. 26: Alpha scales the wash
@@ -119,8 +118,9 @@ type Response struct {
 	// Schedule is the optimized, contamination-free execution
 	// procedure.
 	Schedule *Schedule
-	// Reference is the compressed wash-free schedule the delay metrics
-	// are measured against.
+	// Reference is the wash-free schedule the delay metrics are
+	// measured against: the input re-timed as soon as its precedence
+	// DAG allows (CompressBase).
 	Reference *Schedule
 	// Washes is the number of wash operations inserted.
 	Washes int
@@ -138,13 +138,9 @@ type Response struct {
 	Stats *SolveStats
 }
 
-// compressLimit bounds the wash-free reference compression inside
-// Solve, matching the harness's default.
-const compressLimit = 5 * time.Second
-
-// Solve runs the whole pipeline for one Request: synthesis, reference
-// compression, wash optimization, and metrics, under ctx and the
-// request's budget. Budget expiry or ctx cancellation degrades
+// Solve runs the whole pipeline for one Request: synthesis, the
+// wash-free reference, wash optimization, and metrics, under ctx and
+// the request's budget. Budget expiry or ctx cancellation degrades
 // gracefully — the response still carries a valid contamination-free
 // schedule with Stats.Canceled set — unless cancellation lands before
 // synthesis produced a usable base, in which case the error wraps
@@ -164,7 +160,7 @@ func Solve(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := CompressBase(ctx, syn.Schedule, compressLimit)
+	ref, err := CompressBase(syn.Schedule)
 	if err != nil {
 		return nil, err
 	}

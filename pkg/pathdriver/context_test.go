@@ -35,7 +35,7 @@ func TestContextAPIEndToEnd(t *testing.T) {
 	if err := VerifyClean(base.Schedule); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := CompressBase(ctx, syn.Schedule, time.Second)
+	ref, err := CompressBase(syn.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}

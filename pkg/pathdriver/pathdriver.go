@@ -2,9 +2,10 @@
 // wash optimization for continuous-flow lab-on-a-chip biochips
 // (Huang et al., DATE 2024).
 //
-// The API is context-first: every entry point takes a context.Context,
-// and cancellation or Budget expiry degrades gracefully to the best
-// feasible incumbent instead of erroring. A typical flow:
+// The API is context-first: every solver entry point takes a
+// context.Context, and cancellation or Budget expiry degrades
+// gracefully to the best feasible incumbent instead of erroring. A
+// typical flow:
 //
 //	ctx := context.Background()
 //	a := pathdriver.NewAssay("my-assay")
@@ -28,7 +29,6 @@ package pathdriver
 
 import (
 	"context"
-	"time"
 
 	"pathdriverwash/internal/assay"
 	"pathdriverwash/internal/benchmarks"
@@ -198,12 +198,12 @@ func Baseline(ctx context.Context, base *Schedule, opts Options) (*DAWOResult, e
 	return dawo.OptimizeContext(ctx, base, opts.dawoOptions())
 }
 
-// CompressBase re-times a wash-free schedule with the time-window
-// optimizer, giving the fair reference for delay measurements; a
-// canceled context falls back to the greedy re-timing rather than
-// erroring.
-func CompressBase(ctx context.Context, base *Schedule, limit time.Duration) (*Schedule, error) {
-	return pdw.CompressBaseContext(ctx, base, limit)
+// CompressBase re-times a wash-free schedule as soon as its precedence
+// DAG allows, the fair reference for delay measurements; a task that
+// misses its longest-path start is an error. It runs no solver, so it
+// takes no context.
+func CompressBase(base *Schedule) (*Schedule, error) {
+	return pdw.CompressBase(base)
 }
 
 // VerifyClean checks that a schedule executes without

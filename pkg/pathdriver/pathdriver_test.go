@@ -41,7 +41,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := VerifyClean(base.Schedule); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := CompressBase(context.Background(), syn.Schedule, time.Second)
+	ref, err := CompressBase(syn.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 # corpus generator whose sweeps are sharded across processes, the
 # synthesis layer whose checkpointed scheduler aborts race deadline
 # expiry from the context's timer goroutine, and the solve service's
-# admission/cache/coalescing machinery plus its scaled-down soak), and
-# the bench module's vet and tests.
+# admission/cache/coalescing machinery plus its scaled-down soak), the
+# bench module's vet and tests, and the benchmark's smoke run.
 #
 # The full (non-short) suite, including the complete Table II sweeps,
 # is `go test ./...` and takes many minutes on a small machine.
@@ -56,5 +56,12 @@ go test -race -short ./internal/harness ./internal/milp ./internal/obs ./interna
 # `go test ./...` skips it even though it builds on solve.Stats and obs.
 echo "==> bench module: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
+
+# The benchmark's own smoke: every workload once, untraced and traced,
+# against a real pdwd. It is the only gate that checks hot answers are
+# cached and stable, cold answers equal the in-process Solve, and
+# response bodies decode.
+echo "==> bash bench/smoke.sh"
+bash bench/smoke.sh
 
 echo "All checks passed."

@@ -2,7 +2,7 @@
 # profiles_smoke.sh — end-to-end smoke for the anomaly-triggered
 # profiling pipeline, available as `make profiles-smoke`. Starts a real
 # pdwd on an ephemeral port, forces a budget-overrun solve (a paper
-# benchmark under a 1 ms total budget degrades to heuristic incumbents
+# benchmark under a 100 ms total budget degrades to heuristic incumbents
 # with canceled=true), and then walks the whole evidence chain the
 # observability layer promises: the overrun record appears on
 # /debug/requests?outcome=overrun carrying a profile_id, the
@@ -52,9 +52,14 @@ case "$solves" in
     ;;
 esac
 
-echo "==> force a budget-overrun solve (PCR benchmark, 1 ms budget)"
+# The budget must outlast synthesis, or pdwd answers 503 instead of a
+# degraded 200, and expire inside exact PDW. On a 2-core x86 host PCR
+# synthesis takes 3-6 ms and exact PDW on PCR wants over 10 s, so 100 ms
+# sits well inside both margins. Re-check them whenever the exact window
+# or wash-path solvers get faster (ROADMAP items 3 and 4).
+echo "==> force a budget-overrun solve (PCR benchmark, 100 ms budget)"
 go run ./cmd/pdw -bench PCR -export >"$tmp/assay.json"
-printf '{"assay": %s, "options": {"budget": {"total": "1ms"}}}' \
+printf '{"assay": %s, "options": {"budget": {"total": "100ms"}}}' \
     "$(cat "$tmp/assay.json")" >"$tmp/request.json"
 curl -fsS "http://$addr/v1/solve" -d @"$tmp/request.json" -o "$tmp/response.json"
 if ! grep -q '"canceled":[[:space:]]*true' "$tmp/response.json"; then
