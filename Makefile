@@ -84,9 +84,10 @@ CORPUS_SEED ?= 1
 corpus-oracle:
 	go run ./cmd/pdwbench -corpus $(CORPUS_N) -corpus-seed $(CORPUS_SEED) -quick -oracle
 
-# Short fuzz pass over the corpus generator pipeline and every
-# wire-facing parser: assay documents, bench JSON, W3C traceparent and
-# pdw.v1 requests (committed seeds under testdata/fuzz run in every
+# Short fuzz pass over the corpus generator pipeline, every
+# wire-facing parser (assay documents, bench JSON, W3C traceparent and
+# pdw.v1 requests) and the dense router against its map-based
+# reference (committed seeds under testdata/fuzz run in every
 # `make test`).
 FUZZTIME ?= 30s
 fuzz:
@@ -95,3 +96,4 @@ fuzz:
 	go test ./internal/assayio/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	go test ./internal/obs/reqlog/ -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)
 	go test ./internal/service/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
+	go test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime $(FUZZTIME)

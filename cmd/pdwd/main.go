@@ -7,8 +7,10 @@
 //
 // The server admits solves through a bounded worker pool (429 +
 // Retry-After when the queue is full), memoizes optimal results in an
-// LRU incumbent cache keyed on the canonical (assay, method, weights)
-// identity, coalesces identical concurrent requests onto one solve,
+// incumbent cache keyed on the canonical (assay, method, weights)
+// identity (the newest result always kept, older ones by request
+// frequency, so one-off keys cannot flush repeated ones), coalesces
+// identical concurrent requests onto one solve,
 // and sheds load to the cheap heuristic warm-start — flagged
 // "degraded": true — once the queue passes a watermark. See DESIGN.md
 // "Wire schema v1" for the request/response contract.

@@ -162,31 +162,44 @@ func TestDeadlineOverrunBounded(t *testing.T) {
 // skipped, which would make the emitted corpus depend on machine speed
 // instead of the config alone.
 func TestSweepSubDeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs a deliberately starved multi-second washability probe")
-	}
-	// Slot 0's share of the sweep budget is 150ms/3 = 50 ms; the full
-	// washability proof of a dense reagent-heavy 16-op draw needs an
-	// order of magnitude more even in heuristic mode, so the starved
-	// slot must trip its sub-deadline, not sneak through.
 	cfg := SweepConfig{
-		Seed: 7, N: 3, MinOps: 16, MaxOps: 16,
+		Seed: 7, N: 1, MinOps: 16, MaxOps: 16,
 		Shapes:      []Shape{Pipeline},
 		Densities:   []float64{1},
 		ReagentRate: 8,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	out, err := GenerateSweep(ctx, cfg)
-	if err == nil {
-		t.Fatalf("starved sweep succeeded with %d instances, want slot sub-deadline failure", len(out))
+	starved := func(budget time.Duration) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		out, err := GenerateSweep(ctx, cfg)
+		if err == nil {
+			t.Fatalf("starved %d-slot sweep succeeded with %d instances, want slot sub-deadline failure", cfg.N, len(out))
+		}
+		if !errors.Is(err, solve.ErrBudgetExceeded) {
+			t.Errorf("%d-slot sweep error %v does not wrap solve.ErrBudgetExceeded", cfg.N, err)
+		}
+		if !strings.Contains(err.Error(), "slot 0") {
+			t.Errorf("%d-slot sweep error %q does not name the starved slot", cfg.N, err)
+		}
 	}
-	if !errors.Is(err, solve.ErrBudgetExceeded) {
-		t.Errorf("sweep error %v does not wrap solve.ErrBudgetExceeded", err)
+
+	// One slot: its sub-deadline is the sweep's deadline, so the slot
+	// (whose heuristic fixpoint may finish its round after the
+	// deadline) ends after the sweep's own budget has expired. The
+	// error must still name it.
+	starved(50 * time.Millisecond)
+
+	if testing.Short() {
+		t.Skip("needs a deliberately starved multi-second washability probe")
 	}
-	if !strings.Contains(err.Error(), "slot 0") {
-		t.Errorf("sweep error %q does not name the starved slot", err)
-	}
+	// Three slots: slot 0's share of the sweep budget is 150ms/3 =
+	// 50 ms. Synthesis of this dense reagent-heavy 16-op draw takes
+	// about 23 ms and the whole washability probe about 125 ms, even
+	// in heuristic mode, so the starved slot must trip its
+	// sub-deadline, not sneak through.
+	cfg.N = 3
+	starved(150 * time.Millisecond)
 
 	// An already-exhausted budget fails before any slot runs.
 	expired, cancel2 := context.WithTimeout(context.Background(), time.Nanosecond)

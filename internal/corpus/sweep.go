@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -141,9 +142,14 @@ func GenerateSweep(ctx context.Context, cfg SweepConfig) ([]*benchmarks.Benchmar
 			slotCtx, stop = context.WithTimeout(ctx, sub)
 		}
 		b, err := generateSlot(slotCtx, cfg, i)
+		// Read before stop, which cancels slotCtx. The slot is named
+		// even when the sweep's own deadline has passed too: a slot
+		// that runs past both (a fixpoint finishing its round after
+		// the deadline) is still the slot that starved.
+		expired := errors.Is(slotCtx.Err(), context.DeadlineExceeded)
 		stop()
 		if err != nil {
-			if hasDeadline && ctx.Err() == nil && slotCtx.Err() != nil {
+			if hasDeadline && expired {
 				return nil, fmt.Errorf("corpus: sweep slot %d exceeded its %v sub-deadline: %w: %w",
 					i, sub.Round(time.Millisecond), solve.ErrBudgetExceeded, err)
 			}

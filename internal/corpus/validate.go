@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -77,6 +78,9 @@ func Validate(ctx context.Context, b *benchmarks.Benchmark, level Level) error {
 		return fmt.Errorf("corpus: %s: not washable: %w", b.Name, err)
 	}
 	if err := contam.VerifyContext(ctx, res.Schedule); err != nil {
+		if errors.Is(err, solve.ErrBudgetExceeded) {
+			return fmt.Errorf("corpus: %s: contamination check of the washed schedule aborted: %w", b.Name, err)
+		}
 		return fmt.Errorf("corpus: %s: washed schedule still contaminated: %w", b.Name, err)
 	}
 	rep := sim.Run(res.Schedule)
@@ -90,6 +94,9 @@ func Validate(ctx context.Context, b *benchmarks.Benchmark, level Level) error {
 		return fmt.Errorf("corpus: %s: not washable under dawo: %w", b.Name, err)
 	}
 	if err := contam.VerifyContext(ctx, dres.Schedule); err != nil {
+		if errors.Is(err, solve.ErrBudgetExceeded) {
+			return fmt.Errorf("corpus: %s: contamination check of the dawo schedule aborted: %w", b.Name, err)
+		}
 		return fmt.Errorf("corpus: %s: dawo schedule still contaminated: %w", b.Name, err)
 	}
 	return nil

@@ -61,14 +61,41 @@ func (p Path) Overlaps(q Path) bool {
 	if a.Len() > b.Len() {
 		a, b = b, a
 	}
-	set := a.CellSet()
+	// Mark a's cells in a bitset over a's bounding box.
+	lo, hi := a.Cells[0], a.Cells[0]
+	for _, c := range a.Cells[1:] {
+		lo.X, lo.Y = min(lo.X, c.X), min(lo.Y, c.Y)
+		hi.X, hi.Y = max(hi.X, c.X), max(hi.Y, c.Y)
+	}
+	w := hi.X - lo.X + 1
+	var buf [64]uint64
+	bits := cellBits(&buf, w*(hi.Y-lo.Y+1))
+	for _, c := range a.Cells {
+		bits.set((c.Y-lo.Y)*w + c.X - lo.X)
+	}
 	for _, c := range b.Cells {
-		if set[c] {
+		if c.X >= lo.X && c.X <= hi.X && c.Y >= lo.Y && c.Y <= hi.Y && bits.has((c.Y-lo.Y)*w+c.X-lo.X) {
 			return true
 		}
 	}
 	return false
 }
+
+// bitset is a set of small non-negative integers (cell indices).
+type bitset []uint64
+
+// cellBits returns an empty bitset for n indices, backed by buf when it
+// fits, so the common case allocates nothing.
+func cellBits(buf *[64]uint64, n int) bitset {
+	words := (n + 63) / 64
+	if words > len(buf) {
+		return make(bitset, words)
+	}
+	return buf[:words]
+}
+
+func (s bitset) set(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s bitset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // SharedCells returns the cells visited by both paths.
 func (p Path) SharedCells(q Path) []geom.Point {
@@ -148,7 +175,8 @@ func (p Path) Validate(c *Chip) error {
 	if p.Empty() {
 		return fmt.Errorf("grid: empty path")
 	}
-	seen := make(map[geom.Point]bool, len(p.Cells))
+	var buf [64]uint64
+	seen := cellBits(&buf, c.W*c.H)
 	for i, cell := range p.Cells {
 		if !c.InBounds(cell) {
 			return fmt.Errorf("grid: path cell %v out of bounds", cell)
@@ -156,10 +184,10 @@ func (p Path) Validate(c *Chip) error {
 		if !c.Routable(cell) {
 			return fmt.Errorf("grid: path cell %v is not routable (%s)", cell, c.KindAt(cell))
 		}
-		if seen[cell] {
+		if seen.has(c.idx(cell)) {
 			return fmt.Errorf("grid: path revisits cell %v", cell)
 		}
-		seen[cell] = true
+		seen.set(c.idx(cell))
 		if i > 0 && !p.Cells[i-1].Adjacent(cell) {
 			return fmt.Errorf("grid: path cells %v and %v are not adjacent", p.Cells[i-1], cell)
 		}

@@ -211,3 +211,33 @@ func TestCellSetQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOverlapsQuick checks Overlaps against the pairwise definition on
+// arbitrary cell lists, including ones whose bounding box is too large
+// for the stack-backed bitset.
+func TestOverlapsQuick(t *testing.T) {
+	cells := func(xs, ys []int8, scale int) []geom.Point {
+		var out []geom.Point
+		for i := range min(len(xs), len(ys)) {
+			out = append(out, geom.Pt(int(xs[i])%5*scale, int(ys[i])%5*scale))
+		}
+		return out
+	}
+	f := func(ax, ay, bx, by []int8, wide bool) bool {
+		scale := 1
+		if wide {
+			scale = 40 // a bounding box of up to 321x321 cells
+		}
+		a, b := NewPath(cells(ax, ay, scale)...), NewPath(cells(bx, by, scale)...)
+		want := false
+		for _, p := range a.Cells {
+			if b.Contains(p) {
+				want = true
+			}
+		}
+		return a.Overlaps(b) == want && b.Overlaps(a) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -8,13 +8,19 @@
 //   - ShortestPath: BFS shortest path between two cells, avoiding an
 //     optional blocked set;
 //   - Through: shortest simple path visiting an ordered chain of cells;
-//   - NearestPort: closest flow/waste port to a cell by routed distance;
-//   - Distances: single-source BFS distance map.
+//   - FlushPath: the shortest complete [flow port - chain - waste port]
+//     path over every port pair and both chain orientations;
+//   - Distances: single-source BFS distance table.
+//
+// Every search runs over the chip's dense cell indices i = y*W + x and
+// expands neighbours in N, E, S, W order, so ties break the same way on
+// every call. All scratch state belongs to one call.
 package route
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pathdriverwash/internal/geom"
 	"pathdriverwash/internal/grid"
@@ -26,7 +32,8 @@ var ErrNoPath = errors.New("route: no path")
 // Options tunes a routing query.
 type Options struct {
 	// Blocked cells may not be used (in addition to non-routable cells).
-	// Endpoints may appear in Blocked; they are always allowed.
+	// Endpoints may appear in Blocked; they are always allowed. Entries
+	// mapped to false are ignored.
 	Blocked map[geom.Point]bool
 	// AvoidPorts makes intermediate port cells unusable, so routes only
 	// touch ports at their endpoints. Injection and removal paths must
@@ -38,72 +45,185 @@ type Options struct {
 	AvoidDevices map[geom.Point]bool
 }
 
-func usable(c *grid.Chip, p geom.Point, o Options, isEndpoint bool) bool {
-	if !c.InBounds(p) || !c.Routable(p) {
-		return false
-	}
-	if isEndpoint {
-		return true
-	}
-	if o.Blocked != nil && o.Blocked[p] {
-		return false
-	}
-	if o.AvoidPorts && c.PortAt(p) != nil {
-		return false
-	}
-	if o.AvoidDevices != nil && o.AvoidDevices[p] {
-		return false
-	}
-	return true
+// Per-cell deny flags, built once per call from the chip and Options.
+const (
+	// denyEnter: not routable, or Blocked. Only a route's destination
+	// may be such a cell, and only when it is routable.
+	denyEnter uint8 = 1 << iota
+	// denyPass: a port under AvoidPorts or an AvoidDevices cell. It may
+	// end a route (and gets a distance) but never carries one onward.
+	denyPass
+)
+
+// cells is the dense index space of one chip.
+type cells struct {
+	c    *grid.Chip
+	w, h int32
 }
+
+func cellsOf(c *grid.Chip) cells { return cells{c: c, w: int32(c.W), h: int32(c.H)} }
+
+func (g cells) index(p geom.Point) int32 { return int32(p.Y)*g.w + int32(p.X) }
+
+func (g cells) point(i int32) geom.Point { return geom.Pt(int(i%g.w), int(i/g.w)) }
+
+// neighbours returns i's neighbours in N, E, S, W order, -1 off the grid.
+func (g cells) neighbours(i int32) [4]int32 {
+	x, y := i%g.w, i/g.w
+	nb := [4]int32{-1, -1, -1, -1}
+	if y > 0 {
+		nb[0] = i - g.w
+	}
+	if x < g.w-1 {
+		nb[1] = i + 1
+	}
+	if y < g.h-1 {
+		nb[2] = i + g.w
+	}
+	if x > 0 {
+		nb[3] = i - 1
+	}
+	return nb
+}
+
+// deny builds the per-cell deny flags of o.
+func (g cells) deny(o Options) []uint8 {
+	d := make([]uint8, g.w*g.h)
+	for i := range d {
+		if !g.c.Routable(g.point(int32(i))) {
+			d[i] = denyEnter
+		}
+	}
+	for p, b := range o.Blocked {
+		if b && g.c.InBounds(p) {
+			d[g.index(p)] |= denyEnter
+		}
+	}
+	if o.AvoidPorts {
+		for _, pt := range g.c.Ports() {
+			d[g.index(pt.At)] |= denyPass
+		}
+	}
+	for p, b := range o.AvoidDevices {
+		if b && g.c.InBounds(p) {
+			d[g.index(p)] |= denyPass
+		}
+	}
+	return d
+}
+
+// search is one call's BFS scratch: a visit stamp per cell (seen[i] ==
+// gen marks i as visited or excluded for the current search), parent
+// links, and a reused queue.
+type search struct {
+	cells
+	deny  []uint8
+	seen  []uint32
+	gen   uint32
+	prev  []int32
+	queue []int32
+}
+
+func newSearch(c *grid.Chip, o Options) *search {
+	g := cellsOf(c)
+	n := g.w * g.h
+	return &search{cells: g, deny: g.deny(o), seen: make([]uint32, n), prev: make([]int32, n)}
+}
+
+// next starts a new search generation: every stamp of the previous one
+// is forgotten at once.
+func (s *search) next() {
+	s.gen++
+	if s.gen == 0 { // wrapped: old stamps would alias the new generation
+		clear(s.seen)
+		s.gen = 1
+	}
+}
+
+// bfs searches from src to dst in the current generation and reports
+// whether dst was reached; the route is then read back by appendRoute.
+// The source is never tested, and the destination is entered whenever
+// it is reached (the caller has checked that it is routable).
+func (s *search) bfs(src, dst int32) bool {
+	s.seen[src] = s.gen
+	s.queue = append(s.queue[:0], src)
+	for head := 0; head < len(s.queue); head++ {
+		p := s.queue[head]
+		for _, n := range s.neighbours(p) {
+			if n < 0 || s.seen[n] == s.gen {
+				continue
+			}
+			if n != dst && s.deny[n] != 0 {
+				continue
+			}
+			s.seen[n] = s.gen
+			s.prev[n] = p
+			if n == dst {
+				return true
+			}
+			s.queue = append(s.queue, n)
+		}
+	}
+	return false
+}
+
+// appendRoute appends the cells after src on the route bfs found to dst.
+func (s *search) appendRoute(out []geom.Point, src, dst int32) []geom.Point {
+	n := 0
+	for i := dst; i != src; i = s.prev[i] {
+		n++
+	}
+	out = slices.Grow(out, n)[:len(out)+n]
+	k := len(out) - 1
+	for i := dst; i != src; i = s.prev[i] {
+		out[k] = s.point(i)
+		k--
+	}
+	return out
+}
+
+func checkEnds(c *grid.Chip, src, dst geom.Point) error {
+	if !c.InBounds(src) || !c.Routable(src) {
+		return fmt.Errorf("route: source %v is not routable", src)
+	}
+	if !c.InBounds(dst) || !c.Routable(dst) {
+		return fmt.Errorf("route: destination %v is not routable", dst)
+	}
+	return nil
+}
+
+func noPath(src, dst geom.Point) error {
+	return fmt.Errorf("%w from %v to %v", ErrNoPath, src, dst)
+}
+
+// legError is a Through leg that has no route. It is formatted only
+// when read: FlushPath discards most of the ones it meets.
+type legError struct {
+	leg      int
+	src, dst geom.Point
+}
+
+func (e *legError) Error() string {
+	return fmt.Sprintf("route: leg %d (%v to %v): %v", e.leg, e.src, e.dst, noPath(e.src, e.dst))
+}
+
+func (e *legError) Unwrap() error { return ErrNoPath }
 
 // ShortestPath returns a BFS shortest path from src to dst over routable
 // cells subject to the options. The result includes both endpoints.
 func ShortestPath(c *grid.Chip, src, dst geom.Point, o Options) (grid.Path, error) {
-	if !c.InBounds(src) || !c.Routable(src) {
-		return grid.Path{}, fmt.Errorf("route: source %v is not routable", src)
-	}
-	if !c.InBounds(dst) || !c.Routable(dst) {
-		return grid.Path{}, fmt.Errorf("route: destination %v is not routable", dst)
+	if err := checkEnds(c, src, dst); err != nil {
+		return grid.Path{}, err
 	}
 	if src == dst {
 		return grid.NewPath(src), nil
 	}
-	prev := map[geom.Point]geom.Point{src: src}
-	queue := []geom.Point{src}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, n := range p.Neighbors() {
-			if _, seen := prev[n]; seen {
-				continue
-			}
-			if !usable(c, n, o, n == dst) {
-				continue
-			}
-			prev[n] = p
-			if n == dst {
-				return reconstruct(prev, src, dst), nil
-			}
-			queue = append(queue, n)
-		}
+	s := newSearch(c, o)
+	s.next()
+	if !s.bfs(s.index(src), s.index(dst)) {
+		return grid.Path{}, noPath(src, dst)
 	}
-	return grid.Path{}, fmt.Errorf("%w from %v to %v", ErrNoPath, src, dst)
-}
-
-func reconstruct(prev map[geom.Point]geom.Point, src, dst geom.Point) grid.Path {
-	var rev []geom.Point
-	for p := dst; ; p = prev[p] {
-		rev = append(rev, p)
-		if p == src {
-			break
-		}
-	}
-	cells := make([]geom.Point, len(rev))
-	for i, p := range rev {
-		cells[len(rev)-1-i] = p
-	}
-	return grid.NewPath(cells...)
+	return grid.NewPath(s.appendRoute([]geom.Point{src}, s.index(src), s.index(dst))...), nil
 }
 
 // Through routes a simple path visiting the waypoints in order. Each leg
@@ -114,120 +234,99 @@ func Through(c *grid.Chip, waypoints []geom.Point, o Options) (grid.Path, error)
 	if len(waypoints) < 2 {
 		return grid.Path{}, errors.New("route: Through needs at least two waypoints")
 	}
-	total := grid.NewPath(waypoints[0])
-	used := map[geom.Point]bool{}
-	for i := 0; i+1 < len(waypoints); i++ {
-		legOpts := o
-		legOpts.Blocked = mergeBlocked(o.Blocked, used)
-		// Future waypoints must be visited by their own legs; routing
-		// through one now would make its leg revisit a used cell.
-		for j := i + 2; j < len(waypoints); j++ {
-			legOpts.Blocked[waypoints[j]] = true
-		}
-		// The current position must stay usable as the leg source.
-		delete(legOpts.Blocked, waypoints[i])
-		leg, err := ShortestPath(c, waypoints[i], waypoints[i+1], legOpts)
-		if err != nil {
-			return grid.Path{}, fmt.Errorf("route: leg %d (%v to %v): %w", i, waypoints[i], waypoints[i+1], err)
-		}
-		for _, cell := range leg.Cells {
-			used[cell] = true
-		}
-		total = total.Concat(leg)
+	p, err := newSearch(c, o).through(waypoints, nil)
+	if err != nil {
+		return grid.Path{}, err
 	}
-	if err := total.Validate(c); err != nil {
-		return grid.Path{}, fmt.Errorf("route: Through produced invalid path: %w", err)
-	}
-	return total, nil
+	return grid.NewPath(p...), nil
 }
 
-func mergeBlocked(a, b map[geom.Point]bool) map[geom.Point]bool {
-	m := make(map[geom.Point]bool, len(a)+len(b))
-	for p := range a {
-		m[p] = true
+// through is Through building its cells into out[:0]. The (possibly
+// grown) buffer is returned even on error, so callers can reuse it.
+func (s *search) through(waypoints, out []geom.Point) ([]geom.Point, error) {
+	out = append(out[:0], waypoints[0])
+	for i := 0; i+1 < len(waypoints); i++ {
+		src, dst := waypoints[i], waypoints[i+1]
+		if err := checkEnds(s.c, src, dst); err != nil {
+			return out, fmt.Errorf("route: leg %d (%v to %v): %w", i, src, dst, err)
+		}
+		if src == dst {
+			continue // a one-cell leg adds nothing
+		}
+		// Earlier legs' cells and the waypoints still ahead are off
+		// limits: routing through either would revisit a cell. The
+		// destination stays enterable even when it is one of them.
+		s.next()
+		for _, p := range out {
+			if p != dst {
+				s.seen[s.index(p)] = s.gen
+			}
+		}
+		for _, p := range waypoints[i+2:] {
+			if p != dst && s.c.InBounds(p) {
+				s.seen[s.index(p)] = s.gen
+			}
+		}
+		if !s.bfs(s.index(src), s.index(dst)) {
+			return out, &legError{leg: i, src: src, dst: dst}
+		}
+		out = s.appendRoute(out, s.index(src), s.index(dst))
 	}
-	for p := range b {
-		m[p] = true
+	// A leg may end on a cell an earlier leg used (a repeated waypoint).
+	if err := grid.NewPath(out...).Validate(s.c); err != nil {
+		return out, fmt.Errorf("route: Through produced invalid path: %w", err)
 	}
-	return m
+	return out, nil
+}
+
+// Dist is a single-source hop-distance table over a chip's cells, as
+// returned by Distances.
+type Dist struct {
+	w, h int
+	d    []int32 // by cell index; -1 when unreached
+}
+
+// At returns the hop distance to p and whether p was reached.
+func (d Dist) At(p geom.Point) (int, bool) {
+	if p.X < 0 || p.X >= d.w || p.Y < 0 || p.Y >= d.h {
+		return 0, false
+	}
+	if v := d.d[p.Y*d.w+p.X]; v >= 0 {
+		return int(v), true
+	}
+	return 0, false
 }
 
 // Distances returns the BFS hop distance from src to every reachable
-// routable cell, subject to the options. src has distance 0.
-func Distances(c *grid.Chip, src geom.Point, o Options) map[geom.Point]int {
-	dist := map[geom.Point]int{src: 0}
-	queue := []geom.Point{src}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, n := range p.Neighbors() {
-			if _, seen := dist[n]; seen {
-				continue
-			}
-			// Every reached cell may be an endpoint of some later query,
-			// so ports/devices terminate expansion but still get a distance.
-			if !c.InBounds(n) || !c.Routable(n) {
-				continue
-			}
-			if o.Blocked != nil && o.Blocked[n] {
+// routable cell, subject to the options. src has distance 0. Cells that
+// Options forbid as intermediates (avoided ports and devices) get a
+// distance, since each may end a later query, but are not expanded.
+// An out-of-bounds src reaches nothing.
+func Distances(c *grid.Chip, src geom.Point, o Options) Dist {
+	g := cellsOf(c)
+	dist := make([]int32, g.w*g.h)
+	for i := range dist {
+		dist[i] = -1
+	}
+	out := Dist{w: c.W, h: c.H, d: dist}
+	if !c.InBounds(src) {
+		return out
+	}
+	deny := g.deny(o)
+	s := g.index(src)
+	dist[s] = 0
+	q := []int32{s}
+	for head := 0; head < len(q); head++ {
+		p := q[head]
+		for _, n := range g.neighbours(p) {
+			if n < 0 || dist[n] >= 0 || deny[n]&denyEnter != 0 {
 				continue
 			}
 			dist[n] = dist[p] + 1
-			if o.AvoidPorts && c.PortAt(n) != nil {
-				continue // reachable as endpoint, not traversable
+			if deny[n]&denyPass == 0 {
+				q = append(q, n)
 			}
-			if o.AvoidDevices != nil && o.AvoidDevices[n] {
-				continue
-			}
-			queue = append(queue, n)
 		}
 	}
-	return dist
-}
-
-// NearestPort returns the port of the given kind closest to from by
-// routed hop distance, together with the path to it. Ports that cannot
-// be reached are skipped; ErrNoPath if none is reachable.
-func NearestPort(c *grid.Chip, from geom.Point, kind grid.PortKind, o Options) (*grid.Port, grid.Path, error) {
-	dist := Distances(c, from, o)
-	var best *grid.Port
-	bestD := -1
-	for _, pt := range c.Ports() {
-		if pt.Kind != kind {
-			continue
-		}
-		d, ok := dist[pt.At]
-		if !ok {
-			continue
-		}
-		if bestD < 0 || d < bestD {
-			best, bestD = pt, d
-		}
-	}
-	if best == nil {
-		return nil, grid.Path{}, fmt.Errorf("%w: no reachable %s port from %v", ErrNoPath, kind, from)
-	}
-	p, err := ShortestPath(c, from, best.At, o)
-	if err != nil {
-		return nil, grid.Path{}, err
-	}
-	return best, p, nil
-}
-
-// PortToPort routes a complete path from a flow port through the ordered
-// waypoints to a waste port: the canonical [flow port — cells — waste
-// port] shape of injections, removals, and heuristic wash paths.
-func PortToPort(c *grid.Chip, fp, wp *grid.Port, via []geom.Point, o Options) (grid.Path, error) {
-	wps := make([]geom.Point, 0, len(via)+2)
-	wps = append(wps, fp.At)
-	wps = append(wps, via...)
-	wps = append(wps, wp.At)
-	p, err := Through(c, wps, o)
-	if err != nil {
-		return grid.Path{}, err
-	}
-	if err := p.ValidateComplete(c); err != nil {
-		return grid.Path{}, err
-	}
-	return p, nil
+	return out
 }

@@ -233,14 +233,22 @@ func TestThroughStaysSimple(t *testing.T) {
 func TestDistances(t *testing.T) {
 	c := openChip(t, 5, 5)
 	d := Distances(c, geom.Pt(0, 0), Options{})
-	if d[geom.Pt(0, 0)] != 0 {
+	if v, ok := d.At(geom.Pt(0, 0)); !ok || v != 0 {
 		t.Error("source distance must be 0")
 	}
-	if d[geom.Pt(4, 4)] != 8 {
-		t.Errorf("corner distance = %d want 8", d[geom.Pt(4, 4)])
+	if v, _ := d.At(geom.Pt(4, 4)); v != 8 {
+		t.Errorf("corner distance = %d want 8", v)
 	}
-	if len(d) != 25 {
-		t.Errorf("reached %d cells want 25", len(d))
+	reached := 0
+	for y := -1; y <= 5; y++ {
+		for x := -1; x <= 5; x++ {
+			if _, ok := d.At(geom.Pt(x, y)); ok {
+				reached++
+			}
+		}
+	}
+	if reached != 25 {
+		t.Errorf("reached %d cells want 25", reached)
 	}
 }
 
@@ -254,70 +262,10 @@ func TestDistancesMatchShortestPathQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.Len()-1 == d[dst]
+		v, ok := d.At(dst)
+		return ok && p.Len()-1 == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNearestPort(t *testing.T) {
-	c := grid.NewChip("np", 9, 5)
-	mustAdd(t, c, "in1", grid.FlowPort, geom.Pt(0, 0))
-	mustAdd(t, c, "in2", grid.FlowPort, geom.Pt(8, 0))
-	mustAdd(t, c, "out1", grid.WastePort, geom.Pt(0, 4))
-	mustAdd(t, c, "out2", grid.WastePort, geom.Pt(8, 4))
-	for y := 0; y < 5; y++ {
-		for x := 0; x < 9; x++ {
-			if err := c.AddChannel(geom.Pt(x, y)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	pt, path, err := NearestPort(c, geom.Pt(7, 1), grid.FlowPort, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.ID != "in2" {
-		t.Fatalf("nearest flow port = %s want in2", pt.ID)
-	}
-	if path.First() != geom.Pt(7, 1) || path.Last() != pt.At {
-		t.Fatal("path endpoints wrong")
-	}
-	wp, _, err := NearestPort(c, geom.Pt(1, 3), grid.WastePort, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wp.ID != "out1" {
-		t.Fatalf("nearest waste port = %s want out1", wp.ID)
-	}
-}
-
-func TestNearestPortUnreachable(t *testing.T) {
-	c := grid.NewChip("iso", 5, 5)
-	mustAdd(t, c, "in", grid.FlowPort, geom.Pt(0, 0))
-	mustAdd(t, c, "out", grid.WastePort, geom.Pt(4, 4))
-	// (0,0) is isolated: no channels at all.
-	_, _, err := NearestPort(c, geom.Pt(0, 0), grid.WastePort, Options{})
-	if !errors.Is(err, ErrNoPath) {
-		t.Fatalf("err = %v want ErrNoPath", err)
-	}
-}
-
-func TestPortToPort(t *testing.T) {
-	c := openChip(t, 7, 7)
-	fp, wp := c.Port("in1"), c.Port("out1")
-	via := []geom.Point{geom.Pt(3, 3), geom.Pt(5, 3)}
-	p, err := PortToPort(c, fp, wp, via, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ValidateComplete(c); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range via {
-		if !p.Contains(v) {
-			t.Errorf("missing via %v", v)
-		}
 	}
 }

@@ -33,7 +33,11 @@ type Config struct {
 	// QueueDepth, at least 1; negative: shedding disabled).
 	ShedWatermark int
 	// CacheSize bounds the incumbent cache (0: 128; negative: caching
-	// and request coalescing disabled).
+	// and request coalescing disabled). The newest result is always
+	// kept; older ones only while requested more often than what would
+	// replace them, so while the cache is full of keys requested more
+	// often, a key requested once may go uncached (a key requested
+	// twice is cached).
 	CacheSize int
 	// DefaultBudget is applied when a request carries no total budget
 	// (0: 30 s).
@@ -95,7 +99,7 @@ type Result struct {
 type Server struct {
 	cfg      Config
 	pool     *harness.Pool
-	cache    *lruCache // nil when disabled
+	cache    *resultCache // nil when disabled
 	log      *slog.Logger
 	recorder *reqlog.Recorder
 
@@ -137,7 +141,7 @@ func New(cfg Config) *Server {
 		mEncodeFail: cfg.Metrics.Counter("pdwd_response_encode_failures_total"),
 	}
 	if cfg.CacheSize > 0 {
-		s.cache = newLRUCache(cfg.CacheSize)
+		s.cache = newResultCache(cfg.CacheSize)
 	}
 	return s
 }

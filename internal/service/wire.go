@@ -1,7 +1,8 @@
 // Package service is the PDW solve service behind cmd/pdwd: a
 // versioned JSON wire schema over the canonical pathdriver.Request /
 // Response shapes, admission control over a bounded worker pool,
-// an LRU incumbent cache with single-flight request coalescing, and
+// an incumbent cache (TinyLFU admission: one-off keys cannot flush
+// repeated ones) with single-flight request coalescing, and
 // load shedding to the heuristic warm-start under pressure
 // (DESIGN.md "The solve service").
 package service

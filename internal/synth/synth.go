@@ -360,11 +360,11 @@ func bind(a *assay.Assay, chip *grid.Chip, cp *solve.Checkpoint) (map[string]*gr
 }
 
 // deviceEntry returns the device cell nearest to p by BFS distance.
-func deviceEntry(chip *grid.Chip, d *grid.Device, dist map[geom.Point]int) geom.Point {
+func deviceEntry(chip *grid.Chip, d *grid.Device, dist route.Dist) geom.Point {
 	best := d.Cells()[0]
 	bestD := math.MaxInt32
 	for _, c := range d.Cells() {
-		if dd, ok := dist[c]; ok && dd < bestD {
+		if dd, ok := dist.At(c); ok && dd < bestD {
 			best, bestD = c, dd
 		}
 	}
@@ -516,14 +516,14 @@ func withoutCell(set map[geom.Point]bool, keep geom.Point) map[geom.Point]bool {
 }
 
 // pickPort returns the port of the kind with the smallest distance value.
-func pickPort(chip *grid.Chip, kind grid.PortKind, dist map[geom.Point]int) (*grid.Port, int) {
+func pickPort(chip *grid.Chip, kind grid.PortKind, dist route.Dist) (*grid.Port, int) {
 	var best *grid.Port
 	bestD := math.MaxInt32
 	for _, p := range chip.Ports() {
 		if p.Kind != kind {
 			continue
 		}
-		if d, ok := dist[p.At]; ok && d < bestD {
+		if d, ok := dist.At(p.At); ok && d < bestD {
 			best, bestD = p, d
 		}
 	}

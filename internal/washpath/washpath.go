@@ -333,29 +333,34 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 
 	// Locality pruning: with a heuristic of length L, any cell of a
 	// shorter path lies within L hops of every target.
-	var maxDist map[geom.Point]int
+	var near func(geom.Point) bool // nil: no pruning
 	if haveHeur {
 		// A path shorter than the heuristic keeps every cell within
 		// heuristic-length hops of each target, so farther cells can
 		// only appear in tie solutions and are safely pruned.
 		bound := heur.Path.Len()
-		maxDist = map[geom.Point]int{}
+		maxDist := make([]int, chip.W*chip.H) // by y*W+x; -1: no target reaches it
+		for i := range maxDist {
+			maxDist[i] = -1
+		}
 		for _, t := range req.Targets {
 			// One whole-chip BFS per target: poll without amortization.
 			if err := cp.Err(); err != nil {
 				return nil, fmt.Errorf("washpath: %w during model build: %w", solve.ErrBudgetExceeded, err)
 			}
 			d := route.Distances(chip, t, route.Options{AvoidDevices: forbidden})
-			for p, dd := range d {
-				if cur, ok := maxDist[p]; !ok || dd > cur {
-					maxDist[p] = dd
+			for i := range maxDist {
+				if dd, ok := d.At(geom.Pt(i%chip.W, i/chip.W)); ok && dd > maxDist[i] {
+					maxDist[i] = dd
 				}
 			}
 		}
-		for p, dd := range maxDist {
-			if dd >= bound {
-				delete(maxDist, p)
+		near = func(p geom.Point) bool {
+			if !chip.InBounds(p) {
+				return false
 			}
+			dd := maxDist[p.Y*chip.W+p.X]
+			return dd >= 0 && dd < bound
 		}
 	}
 
@@ -366,10 +371,8 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 		if chip.PortAt(p) != nil || forbidden[p] {
 			continue
 		}
-		if maxDist != nil {
-			if _, ok := maxDist[p]; !ok {
-				continue
-			}
+		if near != nil && !near(p) {
+			continue
 		}
 		m.cellVar[p] = m.n
 		m.cells = append(m.cells, p)
@@ -381,7 +384,7 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 		}
 	}
 	for _, p := range chip.FlowPorts() {
-		if maxDist != nil && !adjacentToKnown(p.At, maxDist) {
+		if near != nil && !adjacentToNear(p.At, near) {
 			continue
 		}
 		m.fpVar[p.ID] = m.n
@@ -389,7 +392,7 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 		m.n++
 	}
 	for _, p := range chip.WastePorts() {
-		if maxDist != nil && !adjacentToKnown(p.At, maxDist) {
+		if near != nil && !adjacentToNear(p.At, near) {
 			continue
 		}
 		m.wpVar[p.ID] = m.n
@@ -419,12 +422,12 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 	return m, nil
 }
 
-func adjacentToKnown(p geom.Point, known map[geom.Point]int) bool {
-	if _, ok := known[p]; ok {
+func adjacentToNear(p geom.Point, near func(geom.Point) bool) bool {
+	if near(p) {
 		return true
 	}
 	for _, q := range p.Neighbors() {
-		if _, ok := known[q]; ok {
+		if near(q) {
 			return true
 		}
 	}
