@@ -86,9 +86,9 @@ corpus-oracle:
 
 # Short fuzz pass over the corpus generator pipeline, every
 # wire-facing parser (assay documents, bench JSON, W3C traceparent and
-# pdw.v1 requests) and the dense router against its map-based
-# reference (committed seeds under testdata/fuzz run in every
-# `make test`).
+# pdw.v1 requests), the dense router against its map-based reference
+# and the exact time-window search against brute force (committed
+# seeds under testdata/fuzz run in every `make test`).
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/corpus/ -run '^$$' -fuzz FuzzGenerate -fuzztime $(FUZZTIME)
@@ -97,3 +97,4 @@ fuzz:
 	go test ./internal/obs/reqlog/ -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)
 	go test ./internal/service/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 	go test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime $(FUZZTIME)
+	go test ./internal/pdw/ -run '^$$' -fuzz FuzzWindowsMatchBruteForce -fuzztime $(FUZZTIME)

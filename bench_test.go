@@ -11,7 +11,7 @@
 //     paths; BenchmarkFig3_Motivating its optimized schedule;
 //   - BenchmarkAblation_* quantify each design choice on the IVD
 //     benchmark (necessity analysis, merging, ψ-integration, path ILP,
-//     window MILP);
+//     exact time windows);
 //   - the Benchmark<Substrate> entries measure the supporting systems
 //     (simplex, branch & bound, router, synthesis, contamination
 //     analysis, wash-path ILP).

@@ -45,7 +45,7 @@ func main() {
 		chipArt   = flag.Bool("chip", false, "print the chip layout")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		pathTL    = flag.Duration("path-time", 3*time.Second, "wash-path ILP time limit")
-		winTL     = flag.Duration("window-time", 10*time.Second, "time-window MILP time limit")
+		winTL     = flag.Duration("window-time", 10*time.Second, "time-window search time limit")
 		budget    = flag.Duration("budget", 0, "total wall-clock budget; on expiry the run degrades to heuristic incumbents")
 		stats     = flag.Bool("stats", false, "print the structured solve trace")
 		heuristic = flag.Bool("heuristic", false, "use BFS paths and greedy windows (no ILP)")

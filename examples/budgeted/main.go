@@ -1,6 +1,6 @@
 // Budgeted: run PathDriver-Wash under a wall-clock budget and inspect
 // the structured solve telemetry. The whole pipeline — wash-path ILPs,
-// the time-window MILP, verification — shares one deadline; when it
+// the time-window search, verification — shares one deadline; when it
 // expires mid-search, every remaining phase degrades to its best
 // feasible incumbent and the result is still a valid, contamination-free
 // schedule (never an error). The same degradation happens if the
@@ -17,9 +17,9 @@ import (
 )
 
 func main() {
-	// The PCR benchmark: large enough that the exact time-window MILP
-	// wants several seconds, so a one-second budget visibly bites.
-	b, err := pathdriver.BenchmarkByName("PCR")
+	// The Synthetic1 benchmark: its exact wash-path ILPs want several
+	// seconds, so a one-second budget visibly bites.
+	b, err := pathdriver.BenchmarkByName("Synthetic1")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 		Budget: pathdriver.Budget{
 			Total:   time.Second,            // whole-pipeline deadline
 			PerPath: 500 * time.Millisecond, // each wash-path ILP
-			Window:  10 * time.Second,       // time-window MILP (clipped by Total)
+			Window:  10 * time.Second,       // time-window search (clipped by Total)
 		},
 	})
 	if err != nil {

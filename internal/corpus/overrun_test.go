@@ -15,13 +15,14 @@ import (
 	"pathdriverwash/internal/solve"
 )
 
-// Reagent-dense corpus draws whose exact PDW run reliably needs far
-// more than two seconds, so a 2 s deadline always lands mid-solve.
-// Both were chosen empirically for small post-cancellation completion
-// tails (~15 ms and ~70 ms without the race detector), leaving real
-// margin under the bounds below.
+// Reagent-dense corpus draws whose uncapped exact PDW run takes at
+// least 5 s, so a 2 s deadline always lands mid-solve: pipeline seed 2
+// about 6 s and diamond seed 5 about 5.1-5.5 s on a 2-core x86 host,
+// nearly all of it wash-path ILPs. An instance that stops taking 5 s
+// is replaced by the next seed of the same Params that does, never
+// chosen by its post-cancellation tail.
 var overrunInstances = []Params{
-	{Name: "overrun-pipeline", Seed: 1, Ops: 8, Shape: Pipeline, Density: 0.5, ReagentRate: 8},
+	{Name: "overrun-pipeline", Seed: 2, Ops: 8, Shape: Pipeline, Density: 0.5, ReagentRate: 8},
 	{Name: "overrun-diamond", Seed: 5, Ops: 10, Shape: Diamond, Density: 1, ReagentRate: 8},
 }
 
@@ -55,7 +56,7 @@ func TestDeadlineOverrunBounded(t *testing.T) {
 	}
 
 	// PDW, exact options: the deadline lands mid wash-insertion or mid
-	// window-MILP; the fixpoint still completes in cheap mode and the
+	// window search; the fixpoint still completes in cheap mode and the
 	// returned schedule is clean, valid, and flagged Canceled. The
 	// pdw_deadline_overrun_seconds histogram must have recorded the
 	// overrun: it is the production-side evidence of this contract.

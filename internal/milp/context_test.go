@@ -3,6 +3,8 @@ package milp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -110,5 +112,45 @@ func TestBadIncumbentIsErrInfeasible(t *testing.T) {
 	}
 	if !errors.Is(err, solve.ErrInfeasible) {
 		t.Fatalf("err = %v, want errors.Is(err, solve.ErrInfeasible)", err)
+	}
+}
+
+// coveringILP builds a seeded 0-1 set-covering problem: n binaries with
+// costs 1-10 and n rows, each satisfied by one of five random
+// variables. All ones is a feasible (and poor) incumbent.
+func coveringILP(n int, seed int64) (*Problem, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	p := NewProblem(0)
+	ones := make([]float64, n)
+	for i := range n {
+		p.SetObjective(p.AddBinary(), float64(1+rng.Intn(10)))
+		ones[i] = 1
+	}
+	for r := range n {
+		row := map[int]float64{}
+		for len(row) < 5 {
+			row[rng.Intn(n)] = 1
+		}
+		p.LP.AddConstraint(row, lp.GE, 1, fmt.Sprintf("cover-%d", r))
+	}
+	return p, ones
+}
+
+// TestDeadlineMidRelaxationKeepsBound is the regression test for a
+// bound lost to a deadline: the 30 ms cap expires inside the root
+// relaxation, after the root left the queue. The search must report
+// that node's bound, not the incumbent's, so the gap stays open.
+func TestDeadlineMidRelaxationKeepsBound(t *testing.T) {
+	p, ones := coveringILP(100, 1)
+	r, err := Solve(p, Options{TimeLimit: 30 * time.Millisecond, Incumbent: ones})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != Feasible {
+		t.Fatalf("status = %v after %d nodes, want feasible(limit)", r.Status, r.Nodes)
+	}
+	if r.Bound >= r.Obj || r.Gap() <= 0 {
+		t.Fatalf("%d nodes: Bound %g, Obj %g, Gap %g: a search its deadline cut off claims a closed gap",
+			r.Nodes, r.Bound, r.Obj, r.Gap())
 	}
 }

@@ -333,6 +333,9 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 	heap.Init(queue)
 	nextID := 1
 	hitLimit, unbounded := false, false
+	// unsettled is the least relaxation bound over integral points that
+	// failed CheckFeasible after rounding (+inf: none).
+	unsettled := math.Inf(1)
 
 search:
 	for queue.Len() > 0 {
@@ -354,6 +357,9 @@ search:
 		if err != nil {
 			if errors.Is(err, lp.ErrIterationLimit) ||
 				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				// The node is still open: its bound stays in the
+				// reported bound below.
+				heap.Push(queue, n)
 				hitLimit = true
 				break
 			}
@@ -386,11 +392,16 @@ search:
 		}
 		frac := p.mostFractional(res.X)
 		if frac < 0 {
-			// Integral: new incumbent.
+			// Integral: new incumbent, once the rounded point checks
+			// out. A point that does not leaves its subproblem
+			// unsettled, so the search can no longer claim optimality.
 			if !haveInc || res.Obj < incObj-1e-12 {
-				incX = roundIntegers(p, res.X)
-				incObj = p.objOf(incX)
-				haveInc = true
+				x := roundIntegers(p, res.X)
+				if p.CheckFeasible(x) != nil {
+					unsettled = math.Min(unsettled, res.Obj)
+					continue
+				}
+				incX, incObj, haveInc = x, p.objOf(x), true
 				record(incObj, nodes)
 			}
 			continue
@@ -418,8 +429,9 @@ search:
 		out.Status = Unbounded
 		return out, nil
 	}
-	// Best remaining bound: min over open nodes, or incumbent if closed.
-	bestBound := incObj
+	// Best remaining bound: min over open and unsettled nodes, or
+	// incumbent if closed.
+	bestBound := math.Min(incObj, unsettled)
 	for _, n := range *queue {
 		if n.bound < bestBound {
 			bestBound = n.bound
@@ -428,7 +440,7 @@ search:
 	// Publish the final bound so a proven optimum shows gap 0 on
 	// /debug/solves for the remainder of the root solve.
 	prog.SetBound(bestBound)
-	if !hitLimit && queue.Len() == 0 {
+	if !hitLimit && queue.Len() == 0 && math.IsInf(unsettled, 1) {
 		if !haveInc {
 			out.Status = Infeasible
 			return out, nil

@@ -366,3 +366,26 @@ func TestRelaxationBoundProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundedIncumbentChecked pins the incumbent check: the relaxation
+// puts x within intTol of 1, but rounding it up violates the row by
+// five units, so the rounded point must not be accepted, let alone
+// claimed optimal.
+func TestRoundedIncumbentChecked(t *testing.T) {
+	p := NewProblem(0)
+	x := p.AddBinary()
+	p.SetObjective(x, -1)
+	p.LP.AddConstraint(map[int]float64{x: 1e7}, lp.LE, 1e7-5, "tight")
+	r, err := Solve(p, Options{TimeLimit: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.X != nil {
+		if err := p.CheckFeasible(r.X); err != nil {
+			t.Fatalf("status %v returned an infeasible point: %v", r.Status, err)
+		}
+	}
+	if r.Status == Optimal {
+		t.Fatalf("claims optimality after discarding a subproblem: obj %g, x %v", r.Obj, r.X)
+	}
+}

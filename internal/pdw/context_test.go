@@ -2,6 +2,7 @@ package pdw
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +11,10 @@ import (
 	"pathdriverwash/internal/solve"
 )
 
-// pcrSchedule synthesizes the PCR benchmark: large enough that the
-// exact window MILP runs for several seconds, so a cancel reliably
-// lands mid-solve.
+// pcrSchedule runs exact PDW on the PCR benchmark and cancels it as
+// soon as the live progress view names a wash-path ILP, so the cancel
+// lands mid-solve however fast the later phases are (exact PDW on PCR
+// finishes in a few hundred milliseconds).
 func pcrSchedule(t *testing.T) *Result {
 	t.Helper()
 	b, err := benchmarks.ByName("PCR")
@@ -24,7 +26,8 @@ func pcrSchedule(t *testing.T) *Result {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	prog := solve.NewProgress()
+	ctx, cancel := context.WithCancel(solve.WithProgress(context.Background(), prog))
 	defer cancel()
 	done := make(chan *Result, 1)
 	errc := make(chan error, 1)
@@ -39,7 +42,15 @@ func pcrSchedule(t *testing.T) *Result {
 		done <- res
 	}()
 
-	time.Sleep(500 * time.Millisecond)
+	for !strings.HasPrefix(prog.Snapshot().Model, "wash-path[") {
+		select {
+		case err := <-errc:
+			t.Fatalf("PDW failed before its first wash-path ILP: %v", err)
+		case <-done:
+			t.Fatal("PDW finished before a wash-path ILP showed on the progress view")
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
 	t0 := time.Now()
 	cancel()
 	select {

@@ -18,11 +18,14 @@
 //     targets and whose windows are compatible are absorbed into the
 //     wash (ψ=1), eliminating their separate channel occupation.
 //  3. Optimized wash paths and time windows (Sec. II-C, Eqs. 12-20):
-//     each wash path is solved as an ILP (internal/washpath) and the
-//     final time windows come from a MILP over task start times with
-//     big-M disjunctions for wash resource conflicts, warm-started from
-//     a greedy incumbent and run best-effort under a time limit like
-//     the paper's Gurobi setup.
+//     each wash path is solved as an ILP (internal/washpath). The
+//     final time windows solve the paper's window MILP (task start
+//     times, one disjunction per free wash conflict) exactly, by depth-
+//     first branch and bound over the orders of the conflicting pairs
+//     with a longest-path bound, starting from the greedy incumbent and
+//     run best-effort under a time limit like the paper's Gurobi setup.
+//     The MILP itself, solved by internal/milp, is the search's test
+//     oracle.
 package pdw
 
 import (
@@ -53,7 +56,7 @@ type Options struct {
 	// for the whole pipeline (enforced through the context, degrading
 	// every later phase to its incumbent on expiry), Budget.PerPath
 	// caps each wash-path ILP (default 3 s) and Budget.Window the
-	// time-window MILP (default 10 s).
+	// time-window search (default 10 s).
 	Budget solve.Budget
 
 	// MergeRadius is the Manhattan distance under which wash groups are
@@ -71,8 +74,8 @@ type Options struct {
 	DisableIntegration bool
 	// HeuristicPaths uses BFS wash paths instead of the path ILP.
 	HeuristicPaths bool
-	// HeuristicWindows skips the time-window MILP and keeps the greedy
-	// sweep assignment.
+	// HeuristicWindows skips the time-window search and keeps the
+	// greedy sweep assignment.
 	HeuristicWindows bool
 }
 
@@ -99,8 +102,9 @@ type Result struct {
 	Washes []replan.WashSpec
 	// Objective is Eq. 26 evaluated on the result.
 	Objective float64
-	// WindowsOptimal reports whether the time-window MILP proved
-	// optimality (false when the time limit returned best-effort).
+	// WindowsOptimal reports whether the time-window search proved
+	// its schedule optimal (false when the time limit returned
+	// best-effort).
 	WindowsOptimal bool
 	// Rounds counts wash-insertion fixpoint rounds.
 	Rounds int
@@ -129,7 +133,7 @@ func Optimize(base *schedule.Schedule, opts Options) (*Result, error) {
 // solve.Checkpoint, and once cancellation is observed the remaining
 // rounds run in completion mode — wash paths degrade to the BFS
 // heuristic, group merging and ψ-integration are skipped, and the
-// time-window MILP is bypassed in favor of its greedy warm-start. The
+// time-window search is bypassed in favor of its greedy incumbent. The
 // result is the best feasible (clean, valid) schedule reached — with
 // Stats.Canceled set so callers can tell — and the distance between
 // deadline expiry and return is recorded in the
@@ -220,11 +224,12 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 		}
 	}
 	final := cur
-	// A done context skips the window MILP outright: its result would be
-	// the greedy warm-start (which final already is), and even building
-	// the model costs a pass over every edge pair.
+	// A done context skips the window search outright: its result would
+	// be the greedy incumbent (which final already is), and even
+	// building the model costs a pass over every edge. The phase keeps
+	// the MILP's name (see windowLabel).
 	if !opts.HeuristicWindows && len(washes) > 0 && cp.Err() == nil {
-		wctx, endWindows := stats.StartPhaseContext(ctx, "window-milp")
+		wctx, endWindows := stats.StartPhaseContext(ctx, windowLabel)
 		optimized, optimal, err := optimizeWindows(wctx, plan, cur, opts.Budget.Window, stats)
 		endWindows()
 		if err == nil && optimized != nil {

@@ -243,7 +243,7 @@ func TestWindowMILPNotWorseThanGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if milpOut.Schedule.Makespan() > gOut.Schedule.Makespan() {
-		t.Fatalf("MILP windows (%d) worse than greedy (%d)",
+		t.Fatalf("exact windows (%d) worse than greedy (%d)",
 			milpOut.Schedule.Makespan(), gOut.Schedule.Makespan())
 	}
 }

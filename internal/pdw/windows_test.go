@@ -60,7 +60,7 @@ func TestCompressBaseMatchesWindowMILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		milpRef, optimal, err := optimizeWindows(context.Background(), plan, greedy, time.Minute, nil)
+		milpRef, optimal, err := optimizeWindowsMILP(context.Background(), plan, greedy, time.Minute, nil)
 		if err != nil {
 			t.Fatalf("%s: window MILP: %v", names[i], err)
 		}
@@ -99,7 +99,7 @@ func TestEarliestStartCheckCatchesDelay(t *testing.T) {
 func TestOptimizeWindowsMatchesGreedyOrBetter(t *testing.T) {
 	res := fixture(t)
 	// Run PDW's wash discovery only (heuristic windows), then compare
-	// the MILP result on the same wash set.
+	// the window search's result on the same wash set.
 	out, err := Optimize(res.Schedule, Options{
 		HeuristicWindows: true,
 		Budget:           solve.Budget{PerPath: time.Second},
@@ -120,14 +120,14 @@ func TestOptimizeWindowsMatchesGreedyOrBetter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if optimized.Makespan() > greedy.Makespan() {
-		t.Fatalf("MILP %d worse than its incumbent %d",
+		t.Fatalf("window search %d worse than its incumbent %d",
 			optimized.Makespan(), greedy.Makespan())
 	}
 	if err := optimized.Validate(); err != nil {
-		t.Fatalf("MILP schedule invalid: %v", err)
+		t.Fatalf("window schedule invalid: %v", err)
 	}
 	if err := contam.Verify(optimized); err != nil {
-		t.Fatalf("MILP schedule contaminated: %v", err)
+		t.Fatalf("window schedule contaminated: %v", err)
 	}
 }
 

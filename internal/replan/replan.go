@@ -332,7 +332,13 @@ func removalTransportID(rmID, from, to string) (string, bool) {
 // buildFreePairs finds conflict-capable pairs not ordered by the DAG;
 // with base pairs fixed, each free pair involves at least one wash.
 func (p *Plan) buildFreePairs() {
-	reach := p.reachability()
+	p.FreePairs = p.freePairs(p.reachability().has)
+}
+
+// freePairs lists the conflict-capable pairs with a wash that
+// reachable leaves unordered in either direction.
+func (p *Plan) freePairs(reachable func(i, j int) bool) [][2]int {
+	var out [][2]int
 	pl := schedule.NewPlacer(p.Base)
 	n := len(p.Tasks)
 	for i := 0; i < n; i++ {
@@ -347,36 +353,79 @@ func (p *Plan) buildFreePairs() {
 			if !pl.ConflictCapable(a, b) {
 				continue
 			}
-			if reach[i][j] || reach[j][i] {
+			if reachable(i, j) || reachable(j, i) {
 				continue
 			}
-			p.FreePairs = append(p.FreePairs, [2]int{i, j})
+			out = append(out, [2]int{i, j})
 		}
 	}
+	return out
 }
 
-// reachability computes the transitive closure of the DAG.
-func (p *Plan) reachability() []map[int]bool {
+// closure is a transitive closure over n tasks: one bitset row of
+// words uint64s per task.
+type closure struct {
+	words int
+	bits  []uint64
+}
+
+// has reports whether j is reachable from i by one or more edges.
+func (c closure) has(i, j int) bool {
+	return c.bits[i*c.words+j/64]&(1<<(j%64)) != 0
+}
+
+// reachability computes the transitive closure of the precedence
+// edges. Rows are filled in reverse topological order, so on a DAG the
+// second sweep only confirms the first; a cyclic plan (which Greedy
+// rejects, naming the cycle) needs more sweeps, and since rows only
+// gain bits the loop still ends.
+func (p *Plan) reachability() closure {
 	n := len(p.Tasks)
 	adj := make([][]int, n)
+	indeg := make([]int, n)
 	for _, e := range p.Edges {
 		adj[e[0]] = append(adj[e[0]], e[1])
+		indeg[e[1]]++
 	}
-	reach := make([]map[int]bool, n)
-	var dfs func(root, v int)
-	dfs = func(root, v int) {
-		for _, w := range adj[v] {
-			if !reach[root][w] {
-				reach[root][w] = true
-				dfs(root, w)
+	order := make([]int, 0, n)
+	for i := range n {
+		if indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for h := 0; h < len(order); h++ {
+		for _, j := range adj[order[h]] {
+			if indeg[j]--; indeg[j] == 0 {
+				order = append(order, j)
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		reach[i] = map[int]bool{}
-		dfs(i, i)
+	for i := range n { // tasks on or behind a cycle, in index order
+		if indeg[i] > 0 {
+			order = append(order, i)
+		}
 	}
-	return reach
+	c := closure{words: (n + 63) / 64}
+	c.bits = make([]uint64, n*c.words)
+	for changed := true; changed; {
+		changed = false
+		for k := n - 1; k >= 0; k-- {
+			i := order[k]
+			row := c.bits[i*c.words : (i+1)*c.words]
+			for _, j := range adj[i] {
+				before := row[j/64]
+				row[j/64] |= 1 << (j % 64)
+				changed = changed || row[j/64] != before
+				for w, bits := range c.bits[j*c.words : (j+1)*c.words] {
+					if row[w]|bits != row[w] {
+						row[w] |= bits
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	return c
 }
 
 // TopoOrder returns task indices topologically sorted by the DAG, ties

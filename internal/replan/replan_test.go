@@ -303,3 +303,18 @@ func TestGreedyIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestClosureOnCyclicPlan requires the closure to finish on a cyclic
+// plan and to agree with the map-based reference there too.
+func TestClosureOnCyclicPlan(t *testing.T) {
+	p := &Plan{Tasks: make([]*schedule.Task, 5), Edges: [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {4, 0}}}
+	c := p.reachability()
+	ref := p.reachabilityMap()
+	for i := range 5 {
+		for j := range 5 {
+			if c.has(i, j) != ref[i][j] {
+				t.Errorf("%d reaches %d: bitset %v, map %v", i, j, c.has(i, j), ref[i][j])
+			}
+		}
+	}
+}

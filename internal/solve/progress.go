@@ -62,7 +62,7 @@ func (p *Progress) SetPhase(name string) {
 }
 
 // SetModel publishes the ILP model currently being solved (once per
-// ILP, from washpath's cut rounds and pdw's window MILP).
+// ILP, from washpath's cut rounds and pdw's window search).
 func (p *Progress) SetModel(label string) {
 	if p == nil {
 		return

@@ -45,7 +45,7 @@ type Budget struct {
 	Total time.Duration
 	// PerPath caps each wash-path ILP solve (0: package default, 3 s).
 	PerPath time.Duration
-	// Window caps the time-window MILP (0: package default, 10 s).
+	// Window caps the time-window search (0: package default, 10 s).
 	Window time.Duration
 }
 

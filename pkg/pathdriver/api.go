@@ -34,9 +34,9 @@ type Weights struct {
 // parameters and no deadline.
 type Options struct {
 	// Budget bounds the solve end to end: Total is enforced as a
-	// context deadline over the whole pipeline, PerPath and Window cap
-	// the inner ILPs. On the wire, durations are "2s"-style strings or
-	// integer nanoseconds.
+	// context deadline over the whole pipeline, PerPath caps each
+	// wash-path ILP and Window the time-window search. On the wire,
+	// durations are "2s"-style strings or integer nanoseconds.
 	Budget Budget `json:"budget"`
 	// Weights weight Eq. 26.
 	Weights Weights `json:"weights"`
@@ -126,8 +126,8 @@ type Response struct {
 	Washes int
 	// Objective is Eq. 26 on the result (PDW only).
 	Objective float64
-	// WindowsOptimal reports a proven-optimal time-window MILP (PDW
-	// only; false for heuristic windows or best-effort incumbents).
+	// WindowsOptimal reports proven-optimal time windows (PDW only;
+	// false for heuristic windows or best-effort incumbents).
 	WindowsOptimal bool
 	// Rounds counts wash-insertion fixpoint rounds.
 	Rounds int

@@ -47,7 +47,7 @@ import (
 type (
 	// Budget bounds a solve: Total is the end-to-end deadline applied as
 	// a context deadline; PerPath and Window cap the wash-path ILPs and
-	// the time-window MILP.
+	// the time-window search.
 	Budget = solve.Budget
 	// SolveStats is the structured telemetry attached to PDWResult and
 	// DAWOResult: per-phase wall times, branch-and-bound node and pruning
@@ -62,8 +62,7 @@ type (
 // wrapping.
 var (
 	// ErrInfeasible marks a model with no feasible point (an impossible
-	// wash-path cover, an infeasible window MILP, an unsatisfiable device
-	// library).
+	// wash-path cover, an unsatisfiable device library).
 	ErrInfeasible = solve.ErrInfeasible
 	// ErrBudgetExceeded marks a solve aborted by a Budget, TimeLimit, or
 	// context deadline before reaching a usable answer. Optimizers that

@@ -42,6 +42,12 @@ if go list -f '{{.Imports}}' ./internal/lp | grep -q 'pathdriverwash/internal/ob
     echo "internal/lp must not import internal/obs" >&2
     exit 1
 fi
+# pdw solves its time windows without an LP: the window MILP on milp
+# is only the window search's test oracle.
+if go list -f '{{.Imports}}' ./internal/pdw | grep -Eq 'pathdriverwash/internal/(lp|milp)[] ]'; then
+    echo "internal/pdw must not import internal/lp or internal/milp outside its tests" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
