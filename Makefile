@@ -52,9 +52,9 @@ profiles-smoke:
 	./scripts/profiles_smoke.sh
 
 # Paper evaluation artifacts (Table II, Fig. 4, Fig. 5) plus the
-# machine-readable sweep result. COUNT > 1 repeats each benchmark,
-# recording the per-iteration wall-time samples the regression radar's
-# significance tests feed on.
+# machine-readable sweep result. COUNT > 1 repeats each benchmark on
+# one worker, recording the per-iteration wall-time samples the
+# regression radar's significance tests feed on.
 COUNT ?= 1
 bench:
 	go run ./cmd/pdwbench -count $(COUNT) -json BENCH_pdw.json
@@ -86,9 +86,10 @@ corpus-oracle:
 
 # Short fuzz pass over the corpus generator pipeline, every
 # wire-facing parser (assay documents, bench JSON, W3C traceparent and
-# pdw.v1 requests), the dense router against its map-based reference
-# and the exact time-window search against brute force (committed
-# seeds under testdata/fuzz run in every `make test`).
+# pdw.v1 requests), the dense router and the dense ChainOrder against
+# their map-based references and the exact time-window search against
+# brute force (committed seeds under testdata/fuzz run in every
+# `make test`).
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/corpus/ -run '^$$' -fuzz FuzzGenerate -fuzztime $(FUZZTIME)
@@ -97,4 +98,5 @@ fuzz:
 	go test ./internal/obs/reqlog/ -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)
 	go test ./internal/service/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 	go test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime $(FUZZTIME)
+	go test ./internal/washpath/ -run '^$$' -fuzz '^FuzzChainOrderMatchesReference$$' -fuzztime $(FUZZTIME)
 	go test ./internal/pdw/ -run '^$$' -fuzz FuzzWindowsMatchBruteForce -fuzztime $(FUZZTIME)

@@ -14,6 +14,7 @@
 //	pdwbench -parallel 4          # worker-pool sweep with 4 workers
 //	pdwbench -json out.json       # machine-readable sweep result (stable schema)
 //	pdwbench -count 5 -json out.json # repeat the sweep 5x, recording wall-time samples
+//	                              # (on one worker unless -parallel is given)
 //	pdwbench -validate out.json   # validate a bench JSON file and exit
 //	pdwbench -compare old.json new.json # statistical diff of two bench files
 //	pdwbench -compare -md old.json new.json # ... as a markdown table
@@ -72,9 +73,9 @@ func main() {
 		winTL    = flag.Duration("window-time", 10*time.Second, "time-window search limit per benchmark")
 		pathTL   = flag.Duration("path-time", 3*time.Second, "wash-path ILP limit per path")
 		budget   = flag.Duration("budget", 0, "total sweep deadline; expiry degrades runs to heuristic incumbents")
-		par      = flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
+		par      = flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS; 1 by default with -count > 1)")
 		jsonOut  = flag.String("json", "", "write the machine-readable sweep result to this file")
-		count    = flag.Int("count", 1, "run each benchmark this many times, recording per-iteration wall-time samples")
+		count    = flag.Int("count", 1, "run each benchmark this many times, recording per-iteration wall-time samples; the samples are taken on one worker unless -parallel is set")
 		validate = flag.String("validate", "", "validate a bench JSON file against the schema and exit")
 		compare  = flag.Bool("compare", false, "compare two bench JSON files (old new) and exit")
 		md       = flag.Bool("md", false, "render -compare / -baseline diffs as markdown")
@@ -243,13 +244,20 @@ func main() {
 		errs    []error
 		samples []harness.BenchSamples
 	)
+	workers := *par
 	if *count > 1 {
 		// Repeated sweeps feed the per-iteration wall_samples series;
 		// a single-shot run leaves samples nil so the artifact stays
-		// byte-identical to pre-radar files.
-		outs, errs, samples = harness.RunSampledPartial(ctx, benches, opts, *par, *count)
+		// byte-identical to pre-radar files. The samples are taken on
+		// one worker unless -parallel asks for more: a ms-scale DAWO
+		// run timed next to another worker's PDW measures the
+		// neighbour's CPU and GC, not DAWO.
+		if !flagSet("parallel") {
+			workers = 1
+		}
+		outs, errs, samples = harness.RunSampledPartial(ctx, benches, opts, workers, *count)
 	} else {
-		outs, errs = harness.RunPartial(ctx, benches, opts, *par)
+		outs, errs = harness.RunPartial(ctx, benches, opts, workers)
 	}
 	wall := time.Since(start)
 
@@ -264,7 +272,7 @@ func main() {
 
 	var bf *report.BenchFile
 	if *jsonOut != "" || *baseline != "" {
-		bf = harness.BuildBenchFile(benches, outs, errs, samples, *quick, *par, wall)
+		bf = harness.BuildBenchFile(benches, outs, errs, samples, *quick, workers, wall)
 		if err := bf.Validate(); err != nil {
 			fatal(fmt.Errorf("generated bench file fails its own schema: %w", err))
 		}
@@ -365,6 +373,13 @@ func main() {
 }
 
 // readBenchFile opens, parses, and schema-validates one bench file.
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 func readBenchFile(path string) (*report.BenchFile, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -113,6 +113,13 @@ type use struct {
 	tolerate map[assay.FluidType]bool // nil means sensitive to everything foreign
 }
 
+// cellTask keys a (cell, task ID) pair: one requirement per use, one
+// demand per contamination event.
+type cellTask struct {
+	cell geom.Point
+	task string
+}
+
 // Policy selects how conservatively contamination is judged. The zero
 // value is PDW's necessity analysis (Sec. II-A). The DAWO baseline and
 // the ablation benches use the conservative switches.
@@ -233,7 +240,7 @@ func analyzeWithPolicy(cp *solve.Checkpoint, s *schedule.Schedule, pol Policy) (
 
 	// Requirements: for each sensitive use, the foreign residue present
 	// when it starts (deposited after the last wash) must be washed away.
-	seen := map[string]bool{}
+	seen := map[cellTask]bool{}
 	for cell, ulist := range uses {
 		for _, u := range ulist {
 			// The (cell, use) x events product is the quadratic heart of
@@ -270,7 +277,7 @@ func analyzeWithPolicy(cp *solve.Checkpoint, s *schedule.Schedule, pol Policy) (
 			if len(fluids) == 0 {
 				continue
 			}
-			key := fmt.Sprintf("%v|%s", cell, u.task.ID)
+			key := cellTask{cell, u.task.ID}
 			if seen[key] {
 				continue
 			}
@@ -309,17 +316,17 @@ func analyzeWithPolicy(cp *solve.Checkpoint, s *schedule.Schedule, pol Policy) (
 	})
 
 	// Skip statistics per contamination event (Sec. II-A's taxonomy).
-	demanded := map[string]bool{}
+	demanded := map[cellTask]bool{}
 	for _, r := range an.Requirements {
 		for _, t := range r.CulpritTasks {
-			demanded[fmt.Sprintf("%v|%s", r.Cell, t)] = true
+			demanded[cellTask{r.Cell, t}] = true
 		}
 	}
 	for _, ev := range an.Events {
 		if err := cp.Check(); err != nil {
 			return nil, cancelErr(err)
 		}
-		if demanded[fmt.Sprintf("%v|%s", ev.Cell, ev.TaskID)] {
+		if demanded[cellTask{ev.Cell, ev.TaskID}] {
 			an.Skips[NoSkip]++
 			continue
 		}

@@ -162,6 +162,61 @@ func checkAgainstReference(t *testing.T, rc routeCase) {
 	if fp != rfp || wp != rwp {
 		t.Fatalf("FlushPath %v: ports %v/%v, reference %v/%v", chain, fp, wp, rfp, rwp)
 	}
+
+	checkSharedSearch(t, rc)
+}
+
+// checkSharedSearch runs every ordered pair of chain cells as a
+// ShortestPath query on one Search built without rc's Blocked, passing
+// blocked cells per query instead: rc's Blocked cells, the whole chain
+// (endpoints included), or none, in turn. Each answer must equal the package
+// ShortestPath given the same cells as its Blocked map, so a query's
+// stamps neither leak into the next nor differ from the map's rules.
+func checkSharedSearch(t *testing.T, rc routeCase) {
+	t.Helper()
+	c, o, chain := rc.chip, rc.opts, rc.chain
+	shared := o
+	shared.Blocked = nil
+	s := NewSearch(c, shared)
+	var fromOpts []geom.Point
+	for p, b := range o.Blocked {
+		if b {
+			fromOpts = append(fromOpts, p)
+		}
+	}
+	slices.SortFunc(fromOpts, func(a, b geom.Point) int {
+		if a.Y != b.Y {
+			return a.Y - b.Y
+		}
+		return a.X - b.X
+	})
+	k := 0
+	for _, src := range chain {
+		for _, dst := range chain {
+			var blocked []geom.Point
+			switch k % 3 {
+			case 0:
+				blocked = fromOpts
+			case 1:
+				blocked = chain
+			}
+			k++
+			want := shared
+			want.Blocked = map[geom.Point]bool{}
+			for _, p := range blocked {
+				want.Blocked[p] = true
+			}
+			p, err := s.ShortestPath(src, dst, blocked)
+			q, qerr := ShortestPath(c, src, dst, want)
+			sameRoute(t, fmt.Sprintf("Search.ShortestPath %v->%v blocked %v", src, dst, blocked), p, q, err, qerr)
+		}
+		if c.InBounds(src) {
+			d, ref := s.Distances(src), Distances(c, src, shared)
+			if !slices.Equal(d.d, ref.d) {
+				t.Fatalf("Search.Distances from %v differs from Distances", src)
+			}
+		}
+	}
 }
 
 // TestRouteMatchesReference checks the dense router against the

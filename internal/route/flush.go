@@ -50,7 +50,7 @@ func FlushPathCheck(c *grid.Chip, chain []geom.Point, o Options, cp *solve.Check
 	for i := 1; i < len(chain); i++ {
 		inner += chain[i-1].Manhattan(chain[i])
 	}
-	s := newSearch(c, o)
+	s := NewSearch(c, o)
 	wps := make([]geom.Point, 0, len(chain)+2)
 	var best, cand []geom.Point
 	var bestFP, bestWP *grid.Port

@@ -14,7 +14,9 @@
 //
 // Every search runs over the chip's dense cell indices i = y*W + x and
 // expands neighbours in N, E, S, W order, so ties break the same way on
-// every call. All scratch state belongs to one call.
+// every call. A package function's scratch state belongs to that call; a
+// caller with many queries under the same options builds one Search and
+// pays for its deny table once.
 package route
 
 import (
@@ -112,10 +114,12 @@ func (g cells) deny(o Options) []uint8 {
 	return d
 }
 
-// search is one call's BFS scratch: a visit stamp per cell (seen[i] ==
-// gen marks i as visited or excluded for the current search), parent
-// links, and a reused queue.
-type search struct {
+// Search answers routing queries on one chip under one Options: the
+// per-cell deny table is built once, and each query reuses the BFS
+// scratch (a visit stamp per cell, where seen[i] == gen marks i as
+// visited or excluded for the current query, parent links, and a
+// queue). A Search is not safe for concurrent use.
+type Search struct {
 	cells
 	deny  []uint8
 	seen  []uint32
@@ -124,15 +128,20 @@ type search struct {
 	queue []int32
 }
 
-func newSearch(c *grid.Chip, o Options) *search {
+// NewSearch builds the deny table of o on c for a sequence of queries.
+func NewSearch(c *grid.Chip, o Options) *Search {
 	g := cellsOf(c)
-	n := g.w * g.h
-	return &search{cells: g, deny: g.deny(o), seen: make([]uint32, n), prev: make([]int32, n)}
+	return &Search{cells: g, deny: g.deny(o)}
 }
 
 // next starts a new search generation: every stamp of the previous one
-// is forgotten at once.
-func (s *search) next() {
+// is forgotten at once. The stamp and parent arrays are made on first
+// use, so a Search that only answers Distances never allocates them.
+func (s *Search) next() {
+	if s.seen == nil {
+		n := s.w * s.h
+		s.seen, s.prev = make([]uint32, n), make([]int32, n)
+	}
 	s.gen++
 	if s.gen == 0 { // wrapped: old stamps would alias the new generation
 		clear(s.seen)
@@ -144,7 +153,7 @@ func (s *search) next() {
 // whether dst was reached; the route is then read back by appendRoute.
 // The source is never tested, and the destination is entered whenever
 // it is reached (the caller has checked that it is routable).
-func (s *search) bfs(src, dst int32) bool {
+func (s *Search) bfs(src, dst int32) bool {
 	s.seen[src] = s.gen
 	s.queue = append(s.queue[:0], src)
 	for head := 0; head < len(s.queue); head++ {
@@ -168,7 +177,7 @@ func (s *search) bfs(src, dst int32) bool {
 }
 
 // appendRoute appends the cells after src on the route bfs found to dst.
-func (s *search) appendRoute(out []geom.Point, src, dst int32) []geom.Point {
+func (s *Search) appendRoute(out []geom.Point, src, dst int32) []geom.Point {
 	n := 0
 	for i := dst; i != src; i = s.prev[i] {
 		n++
@@ -212,14 +221,27 @@ func (e *legError) Unwrap() error { return ErrNoPath }
 // ShortestPath returns a BFS shortest path from src to dst over routable
 // cells subject to the options. The result includes both endpoints.
 func ShortestPath(c *grid.Chip, src, dst geom.Point, o Options) (grid.Path, error) {
-	if err := checkEnds(c, src, dst); err != nil {
+	return NewSearch(c, o).ShortestPath(src, dst, nil)
+}
+
+// ShortestPath is the package's ShortestPath under the Search's options,
+// with the cells of blocked also unusable for this query only: the
+// answer is the one Options.Blocked holding those cells would give.
+// As there, src and dst are always allowed, and cells off the chip are
+// ignored.
+func (s *Search) ShortestPath(src, dst geom.Point, blocked []geom.Point) (grid.Path, error) {
+	if err := checkEnds(s.c, src, dst); err != nil {
 		return grid.Path{}, err
 	}
 	if src == dst {
 		return grid.NewPath(src), nil
 	}
-	s := newSearch(c, o)
 	s.next()
+	for _, p := range blocked {
+		if p != dst && s.c.InBounds(p) {
+			s.seen[s.index(p)] = s.gen
+		}
+	}
 	if !s.bfs(s.index(src), s.index(dst)) {
 		return grid.Path{}, noPath(src, dst)
 	}
@@ -231,10 +253,15 @@ func ShortestPath(c *grid.Chip, src, dst geom.Point, o Options) (grid.Path, erro
 // by earlier legs, keeping the overall path simple. Returns ErrNoPath if
 // any leg cannot be completed without revisiting.
 func Through(c *grid.Chip, waypoints []geom.Point, o Options) (grid.Path, error) {
+	return NewSearch(c, o).Through(waypoints)
+}
+
+// Through is the package's Through under the Search's options.
+func (s *Search) Through(waypoints []geom.Point) (grid.Path, error) {
 	if len(waypoints) < 2 {
 		return grid.Path{}, errors.New("route: Through needs at least two waypoints")
 	}
-	p, err := newSearch(c, o).through(waypoints, nil)
+	p, err := s.through(waypoints, nil)
 	if err != nil {
 		return grid.Path{}, err
 	}
@@ -243,7 +270,7 @@ func Through(c *grid.Chip, waypoints []geom.Point, o Options) (grid.Path, error)
 
 // through is Through building its cells into out[:0]. The (possibly
 // grown) buffer is returned even on error, so callers can reuse it.
-func (s *search) through(waypoints, out []geom.Point) ([]geom.Point, error) {
+func (s *Search) through(waypoints, out []geom.Point) ([]geom.Point, error) {
 	out = append(out[:0], waypoints[0])
 	for i := 0; i+1 < len(waypoints); i++ {
 		src, dst := waypoints[i], waypoints[i+1]
@@ -303,30 +330,34 @@ func (d Dist) At(p geom.Point) (int, bool) {
 // distance, since each may end a later query, but are not expanded.
 // An out-of-bounds src reaches nothing.
 func Distances(c *grid.Chip, src geom.Point, o Options) Dist {
-	g := cellsOf(c)
-	dist := make([]int32, g.w*g.h)
+	return NewSearch(c, o).Distances(src)
+}
+
+// Distances is the package's Distances under the Search's options.
+func (s *Search) Distances(src geom.Point) Dist {
+	dist := make([]int32, s.w*s.h)
 	for i := range dist {
 		dist[i] = -1
 	}
-	out := Dist{w: c.W, h: c.H, d: dist}
-	if !c.InBounds(src) {
+	out := Dist{w: s.c.W, h: s.c.H, d: dist}
+	if !s.c.InBounds(src) {
 		return out
 	}
-	deny := g.deny(o)
-	s := g.index(src)
-	dist[s] = 0
-	q := []int32{s}
+	i := s.index(src)
+	dist[i] = 0
+	q := append(s.queue[:0], i)
 	for head := 0; head < len(q); head++ {
 		p := q[head]
-		for _, n := range g.neighbours(p) {
-			if n < 0 || dist[n] >= 0 || deny[n]&denyEnter != 0 {
+		for _, n := range s.neighbours(p) {
+			if n < 0 || dist[n] >= 0 || s.deny[n]&denyEnter != 0 {
 				continue
 			}
 			dist[n] = dist[p] + 1
-			if deny[n]&denyPass == 0 {
+			if s.deny[n]&denyPass == 0 {
 				q = append(q, n)
 			}
 		}
 	}
+	s.queue = q
 	return out
 }

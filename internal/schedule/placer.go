@@ -3,7 +3,6 @@ package schedule
 import (
 	"fmt"
 
-	"pathdriverwash/internal/geom"
 	"pathdriverwash/internal/grid"
 )
 
@@ -14,27 +13,22 @@ import (
 // 19 and 20 express as disjunctions).
 type Placer struct {
 	s       *Schedule
-	devCell map[*grid.Device]map[geom.Point]bool
 	horizon int
 }
 
 // NewPlacer creates a placer over the schedule.
 func NewPlacer(s *Schedule) *Placer {
-	dc := map[*grid.Device]map[geom.Point]bool{}
-	for _, d := range s.Chip.Devices() {
-		set := map[geom.Point]bool{}
-		for _, c := range d.Cells() {
-			set[c] = true
-		}
-		dc[d] = set
-	}
-	return &Placer{s: s, devCell: dc, horizon: 1 << 20}
+	return &Placer{s: s, horizon: 1 << 20}
 }
 
+// crossesDevice reports whether p runs through a cell of d on the
+// schedule's chip. A nil device is crossed by nothing.
 func (pl *Placer) crossesDevice(p grid.Path, d *grid.Device) bool {
-	set := pl.devCell[d]
+	if d == nil {
+		return false
+	}
 	for _, c := range p.Cells {
-		if set[c] {
+		if pl.s.Chip.DeviceAt(c) == d {
 			return true
 		}
 	}

@@ -374,7 +374,8 @@ func deviceEntry(chip *grid.Chip, d *grid.Device, dist route.Dist) geom.Point {
 // routeComplete builds a complete flow path fp -> (src device) -> (dst
 // device) -> wp, picking the nearest usable flow and waste ports. src
 // may be nil (injection directly to dst). Avoids flushing through
-// unrelated devices and intermediate ports.
+// unrelated devices and intermediate ports. Every query of one call,
+// including the exhaustive retry's, shares one route.Search.
 func routeComplete(chip *grid.Chip, src, dst *grid.Device, cp *solve.Checkpoint) (grid.Path, error) {
 	if err := cp.Check(); err != nil {
 		return grid.Path{}, budgetErr(err)
@@ -388,7 +389,7 @@ func routeComplete(chip *grid.Chip, src, dst *grid.Device, cp *solve.Checkpoint)
 			avoid[c] = true
 		}
 	}
-	opts := route.Options{AvoidPorts: true, AvoidDevices: avoid}
+	rs := route.NewSearch(chip, route.Options{AvoidPorts: true, AvoidDevices: avoid})
 
 	// Waypoints through the devices: enter src nearest to some flow
 	// port, exit towards dst, then on to the nearest waste port.
@@ -396,12 +397,12 @@ func routeComplete(chip *grid.Chip, src, dst *grid.Device, cp *solve.Checkpoint)
 	if src != nil {
 		headDev = src
 	}
-	distFromHead := route.Distances(chip, headDev.Center(), opts)
+	distFromHead := rs.Distances(headDev.Center())
 	fp, _ := pickPort(chip, grid.FlowPort, distFromHead)
 	if fp == nil {
 		return grid.Path{}, fmt.Errorf("synth: no reachable flow port for %s", headDev.ID)
 	}
-	distFromDst := route.Distances(chip, dst.Center(), opts)
+	distFromDst := rs.Distances(dst.Center())
 	wp, _ := pickPort(chip, grid.WastePort, distFromDst)
 	if wp == nil {
 		return grid.Path{}, fmt.Errorf("synth: no reachable waste port for %s", dst.ID)
@@ -410,22 +411,22 @@ func routeComplete(chip *grid.Chip, src, dst *grid.Device, cp *solve.Checkpoint)
 	var waypoints []geom.Point
 	waypoints = append(waypoints, fp.At)
 	if src != nil {
-		distFP := route.Distances(chip, fp.At, opts)
+		distFP := rs.Distances(fp.At)
 		enter := deviceEntry(chip, src, distFP)
 		waypoints = append(waypoints, enter)
-		distSrc := route.Distances(chip, enter, opts)
+		distSrc := rs.Distances(enter)
 		waypoints = append(waypoints, deviceEntry(chip, dst, distSrc))
 	} else {
-		distFP := route.Distances(chip, fp.At, opts)
+		distFP := rs.Distances(fp.At)
 		waypoints = append(waypoints, deviceEntry(chip, dst, distFP))
 	}
 	waypoints = append(waypoints, wp.At)
 
-	p, err := route.Through(chip, waypoints, opts)
+	p, err := rs.Through(waypoints)
 	if err != nil {
 		// Port choice may be blocked by the disjointness requirement;
 		// retry over all port pairs in distance order.
-		return routeCompleteExhaustive(chip, src, dst, opts, cp)
+		return routeCompleteExhaustive(chip, rs, src, dst, cp)
 	}
 	if err := p.ValidateComplete(chip); err != nil {
 		return grid.Path{}, err
@@ -433,13 +434,14 @@ func routeComplete(chip *grid.Chip, src, dst *grid.Device, cp *solve.Checkpoint)
 	return p, nil
 }
 
-func routeCompleteExhaustive(chip *grid.Chip, src, dst *grid.Device, opts route.Options, cp *solve.Checkpoint) (grid.Path, error) {
+func routeCompleteExhaustive(chip *grid.Chip, rs *route.Search, src, dst *grid.Device, cp *solve.Checkpoint) (grid.Path, error) {
 	// Routing the legs outward-in starves the later legs of corridors on
 	// a sparse street grid, so the plug leg (src -> dst, the part that
 	// matters most) is routed first over the virgin grid; the flow-port
 	// approach and the waste-port exit are attached around it, each
-	// avoiding the cells already committed. Every (entry, port) pairing
-	// is tried and the shortest valid complete path wins.
+	// avoiding the cells already committed (blocked per query, its own
+	// endpoint excepted). Every (entry, port) pairing is tried and the
+	// shortest valid complete path wins.
 	srcEntries := []geom.Point{{X: -1, Y: -1}} // sentinel: no src leg
 	if src != nil {
 		srcEntries = src.Cells()
@@ -453,22 +455,19 @@ func routeCompleteExhaustive(chip *grid.Chip, src, dst *grid.Device, opts route.
 			var plug grid.Path
 			if src != nil {
 				var err error
-				plug, err = route.ShortestPath(chip, se, de, opts)
+				plug, err = rs.ShortestPath(se, de, nil)
 				if err != nil {
 					continue
 				}
 			} else {
 				plug = grid.NewPath(de)
 			}
-			plugUsed := plug.CellSet()
 			head := plug.First()
 			for _, fp := range chip.FlowPorts() {
 				if err := cp.Check(); err != nil {
 					return grid.Path{}, budgetErr(err)
 				}
-				inOpts := opts
-				inOpts.Blocked = withoutCell(plugUsed, head)
-				approach, err := route.ShortestPath(chip, fp.At, head, inOpts)
+				approach, err := rs.ShortestPath(fp.At, head, plug.Cells)
 				if err != nil {
 					continue
 				}
@@ -476,15 +475,12 @@ func routeCompleteExhaustive(chip *grid.Chip, src, dst *grid.Device, opts route.
 				if half.Validate(chip) != nil {
 					continue
 				}
-				halfUsed := half.CellSet()
 				tail := half.Last()
 				for _, wp := range chip.WastePorts() {
 					if err := cp.Check(); err != nil {
 						return grid.Path{}, budgetErr(err)
 					}
-					outOpts := opts
-					outOpts.Blocked = withoutCell(halfUsed, tail)
-					exit, err := route.ShortestPath(chip, tail, wp.At, outOpts)
+					exit, err := rs.ShortestPath(tail, wp.At, half.Cells)
 					if err != nil {
 						continue
 					}
@@ -503,16 +499,6 @@ func routeCompleteExhaustive(chip *grid.Chip, src, dst *grid.Device, opts route.
 		return grid.Path{}, fmt.Errorf("synth: cannot route complete path to %s", dst.ID)
 	}
 	return best, nil
-}
-
-func withoutCell(set map[geom.Point]bool, keep geom.Point) map[geom.Point]bool {
-	out := make(map[geom.Point]bool, len(set))
-	for p := range set {
-		if p != keep {
-			out[p] = true
-		}
-	}
-	return out
 }
 
 // pickPort returns the port of the kind with the smallest distance value.

@@ -19,14 +19,18 @@ func BuildCover(chip *grid.Chip, targets []geom.Point, opts Options) ([]Plan, []
 // cover all targets. It first tries a single path (ILP or heuristic per
 // opts); when the target set cannot be served by one simple path — e.g.
 // a channel chain with a device block hanging off it — the set is split
-// into device blocks and channel components, each washed separately.
-// Returns the plans and the target subset each plan covers. A canceled
-// ctx degrades exact-mode paths to the BFS heuristic (see BuildContext).
+// into device blocks and channel components, each washed separately,
+// and a part no path covers into chains. A chain no path covers is
+// split in two along its order, and each half in turn, down to single
+// cells. Returns the plans and the target subset each plan covers. A
+// canceled ctx degrades exact-mode paths to the BFS heuristic (see
+// BuildContext).
 func BuildCoverContext(ctx context.Context, chip *grid.Chip, targets []geom.Point, opts Options) ([]Plan, [][]geom.Point, error) {
 	plan, err := BuildContext(ctx, chip, Request{Targets: targets}, opts)
 	if err == nil {
 		return []Plan{plan}, [][]geom.Point{targets}, nil
 	}
+	var cv cover
 	parts := splitTargets(chip, targets)
 	if len(parts) == 1 && len(parts[0]) == len(targets) {
 		// No device/channel split possible; decompose the component
@@ -34,33 +38,68 @@ func BuildCoverContext(ctx context.Context, chip *grid.Chip, targets []geom.Poin
 		// covered by one simple path under Eq. 14).
 		parts = chainDecompose(targets)
 		if len(parts) <= 1 {
-			return nil, nil, fmt.Errorf("washpath: cannot cover %v: %w", targets, err)
+			if err := cv.halves(ctx, chip, parts[0], opts, err); err != nil {
+				return nil, nil, err
+			}
+			return cv.plans, cv.covered, nil
 		}
 	}
-	var plans []Plan
-	var covered [][]geom.Point
 	for _, part := range parts {
 		p, perr := BuildContext(ctx, chip, Request{Targets: part}, opts)
-		if perr != nil {
-			// Last resort: break the part into chains.
-			chains := chainDecompose(part)
-			if len(chains) <= 1 {
-				return nil, nil, fmt.Errorf("washpath: cannot cover split part %v: %w", part, perr)
-			}
-			for _, ch := range chains {
-				cp, cerr := BuildContext(ctx, chip, Request{Targets: ch}, opts)
-				if cerr != nil {
-					return nil, nil, fmt.Errorf("washpath: cannot cover chain %v: %w", ch, cerr)
-				}
-				plans = append(plans, cp)
-				covered = append(covered, ch)
+		if perr == nil {
+			cv.add(p, part)
+			continue
+		}
+		// Last resort: break the part into chains.
+		chains := chainDecompose(part)
+		if len(chains) <= 1 {
+			if err := cv.halves(ctx, chip, chains[0], opts, perr); err != nil {
+				return nil, nil, err
 			}
 			continue
 		}
-		plans = append(plans, p)
-		covered = append(covered, part)
+		for _, ch := range chains {
+			if err := cv.chain(ctx, chip, ch, opts); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-	return plans, covered, nil
+	return cv.plans, cv.covered, nil
+}
+
+// cover collects BuildCoverContext's plans and the targets of each.
+type cover struct {
+	plans   []Plan
+	covered [][]geom.Point
+}
+
+func (cv *cover) add(p Plan, targets []geom.Point) {
+	cv.plans = append(cv.plans, p)
+	cv.covered = append(cv.covered, targets)
+}
+
+// chain covers ch, a chain in walk order, with one path or, failing
+// that, by halves.
+func (cv *cover) chain(ctx context.Context, chip *grid.Chip, ch []geom.Point, opts Options) error {
+	p, err := BuildContext(ctx, chip, Request{Targets: ch}, opts)
+	if err != nil {
+		return cv.halves(ctx, chip, ch, opts, err)
+	}
+	cv.add(p, ch)
+	return nil
+}
+
+// halves covers ch, which no single path covers (err says why), as its
+// first and second half along its order.
+func (cv *cover) halves(ctx context.Context, chip *grid.Chip, ch []geom.Point, opts Options, err error) error {
+	if len(ch) == 1 {
+		return fmt.Errorf("washpath: cannot cover chain %v: %w", ch, err)
+	}
+	mid := len(ch) / 2
+	if err := cv.chain(ctx, chip, ch[:mid], opts); err != nil {
+		return err
+	}
+	return cv.chain(ctx, chip, ch[mid:], opts)
 }
 
 // chainDecompose splits a cell set into a small number of chains, each

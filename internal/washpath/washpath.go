@@ -27,7 +27,7 @@ package washpath
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"pathdriverwash/internal/geom"
@@ -137,93 +137,215 @@ func forbiddenDevCells(chip *grid.Chip, targets []geom.Point) map[geom.Point]boo
 	return out
 }
 
+// chainBudget caps ChainOrder's search nodes over all starts.
+const chainBudget = 200000
+
 // ChainOrder arranges a connected target set into a traversal order
 // whose consecutive members are adjacent (a Hamiltonian path on the
-// induced grid subgraph). A degree-guided depth-first search with
-// backtracking is used: target sets are small (one contaminated region),
-// so the exponential worst case never bites in practice, and a node
-// budget guards against pathological inputs. Fails if no chain exists.
+// induced grid subgraph); a repeated target appears once. It is a
+// depth-first search with backtracking over the distinct cells: starts
+// are tried in ascending degree order (ties row-major), and each node
+// visits its unvisited neighbours fewest onward options first
+// (Warnsdorff; ties in N, E, S, W order). A node is cut, without
+// expanding it, when its unvisited cells cannot be chained from it:
+//
+//   - some unvisited cell is not reachable from the current cell
+//     through unvisited cells; or
+//   - more than two unvisited cells have at most one unvisited
+//     neighbour, or two do and neither is next to the current cell
+//     (only the chain's next cell and its last cell can have so few).
+//
+// Both cuts are exact, so they never change which chain is found first.
+// The search stops after 200,000 nodes in total over all starts, which
+// bounds its cost on sets that hold no chain. Fails if no chain is found.
 func ChainOrder(targets []geom.Point) ([]geom.Point, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("washpath: empty target set")
 	}
-	set := map[geom.Point]bool{}
-	for _, t := range targets {
-		set[t] = true
-	}
-	if len(set) == 1 {
+	cells := slices.Clone(targets)
+	slices.SortFunc(cells, rowMajor)
+	cells = slices.Compact(cells)
+	if len(cells) == 1 {
 		return []geom.Point{targets[0]}, nil
 	}
-	cells := make([]geom.Point, 0, len(set))
-	for p := range set {
-		cells = append(cells, p)
+	c := newChainSearch(cells)
+	starts := make([]int32, len(cells))
+	for i := range starts {
+		starts[i] = int32(i)
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Y != cells[j].Y {
-			return cells[i].Y < cells[j].Y
-		}
-		return cells[i].X < cells[j].X
-	})
-	deg := func(p geom.Point, in map[geom.Point]bool) int {
-		n := 0
-		for _, q := range p.Neighbors() {
-			if in[q] {
-				n++
-			}
-		}
-		return n
-	}
-	// Low-degree cells are the only viable chain endpoints; try starts
-	// in ascending degree order.
-	starts := append([]geom.Point(nil), cells...)
-	sort.SliceStable(starts, func(i, j int) bool {
-		return deg(starts[i], set) < deg(starts[j], set)
-	})
-
-	budget := 200000
-	var order []geom.Point
-	var dfs func(cur geom.Point, remaining map[geom.Point]bool) bool
-	dfs = func(cur geom.Point, remaining map[geom.Point]bool) bool {
-		if len(remaining) == 0 {
-			return true
-		}
-		if budget <= 0 {
-			return false
-		}
-		budget--
-		// Visit neighbours with fewest onward options first (Warnsdorff).
-		var nbs []geom.Point
-		for _, q := range cur.Neighbors() {
-			if remaining[q] {
-				nbs = append(nbs, q)
-			}
-		}
-		sort.SliceStable(nbs, func(i, j int) bool {
-			return deg(nbs[i], remaining) < deg(nbs[j], remaining)
-		})
-		for _, q := range nbs {
-			delete(remaining, q)
-			order = append(order, q)
-			if dfs(q, remaining) {
-				return true
-			}
-			order = order[:len(order)-1]
-			remaining[q] = true
-		}
-		return false
-	}
+	// Low-degree cells are the only viable chain endpoints.
+	slices.SortStableFunc(starts, func(a, b int32) int { return int(c.deg[a]) - int(c.deg[b]) })
 	for _, s := range starts {
-		remaining := make(map[geom.Point]bool, len(set))
-		for p := range set {
-			remaining[p] = true
-		}
-		delete(remaining, s)
-		order = []geom.Point{s}
-		if dfs(s, remaining) {
+		c.take(s)
+		c.path = append(c.path[:0], s)
+		if c.dfs(s) {
+			order := make([]geom.Point, len(c.path))
+			for i, v := range c.path {
+				order[i] = cells[v]
+			}
 			return order, nil
 		}
+		c.give(s)
 	}
-	return nil, fmt.Errorf("washpath: %d targets cannot be chained", len(set))
+	return nil, fmt.Errorf("washpath: %d targets cannot be chained", len(cells))
+}
+
+func rowMajor(a, b geom.Point) int {
+	if a.Y != b.Y {
+		return a.Y - b.Y
+	}
+	return a.X - b.X
+}
+
+// chainSearch is ChainOrder's state over local cell indices: cell i's
+// neighbours in N, E, S, W order (-1 where no target), which cells are
+// unvisited, and each cell's count of unvisited neighbours, kept
+// incrementally as cells are taken and given back.
+type chainSearch struct {
+	nb     [][4]int32
+	free   []bool
+	deg    []int8
+	left   int // unvisited cells
+	low    int // unvisited cells with deg <= 1
+	budget int
+	path   []int32
+	// Reachability scratch: mark[i] == stamp marks i as reached.
+	mark  []int32
+	stamp int32
+	stack []int32
+}
+
+func newChainSearch(cells []geom.Point) *chainSearch {
+	n := len(cells)
+	c := &chainSearch{
+		nb: make([][4]int32, n), free: make([]bool, n), deg: make([]int8, n),
+		left: n, budget: chainBudget, mark: make([]int32, n),
+	}
+	for i, p := range cells {
+		c.free[i] = true
+		for d, q := range p.Neighbors() {
+			j, ok := slices.BinarySearchFunc(cells, q, rowMajor)
+			if !ok {
+				c.nb[i][d] = -1
+				continue
+			}
+			c.nb[i][d] = int32(j)
+			c.deg[i]++
+		}
+		if c.deg[i] <= 1 {
+			c.low++
+		}
+	}
+	return c
+}
+
+// take marks v visited.
+func (c *chainSearch) take(v int32) {
+	c.free[v] = false
+	c.left--
+	if c.deg[v] <= 1 {
+		c.low--
+	}
+	for _, u := range c.nb[v] {
+		if u >= 0 {
+			c.deg[u]--
+			if c.free[u] && c.deg[u] == 1 {
+				c.low++
+			}
+		}
+	}
+}
+
+// give undoes take(v).
+func (c *chainSearch) give(v int32) {
+	for _, u := range c.nb[v] {
+		if u >= 0 {
+			if c.free[u] && c.deg[u] == 1 {
+				c.low--
+			}
+			c.deg[u]++
+		}
+	}
+	c.free[v] = true
+	c.left++
+	if c.deg[v] <= 1 {
+		c.low++
+	}
+}
+
+// dfs extends the chain ending at cur over every unvisited cell.
+func (c *chainSearch) dfs(cur int32) bool {
+	if c.left == 0 {
+		return true
+	}
+	if c.budget <= 0 {
+		return false
+	}
+	c.budget--
+	if !c.viable(cur) {
+		return false
+	}
+	// Visit neighbours with fewest onward options first (Warnsdorff),
+	// by a stable insertion sort.
+	var nbs [4]int32
+	k := 0
+	for _, q := range c.nb[cur] {
+		if q < 0 || !c.free[q] {
+			continue
+		}
+		j := k
+		for ; j > 0 && c.deg[nbs[j-1]] > c.deg[q]; j-- {
+			nbs[j] = nbs[j-1]
+		}
+		nbs[j] = q
+		k++
+	}
+	for _, q := range nbs[:k] {
+		c.take(q)
+		c.path = append(c.path, q)
+		if c.dfs(q) {
+			return true
+		}
+		c.path = c.path[:len(c.path)-1]
+		c.give(q)
+	}
+	return false
+}
+
+// viable reports whether the unvisited cells pass ChainOrder's two
+// necessary conditions for a chain from cur through all of them.
+func (c *chainSearch) viable(cur int32) bool {
+	switch {
+	case c.low > 2:
+		return false
+	case c.low == 2:
+		next := false
+		for _, q := range c.nb[cur] {
+			if q >= 0 && c.free[q] && c.deg[q] <= 1 {
+				next = true
+			}
+		}
+		if !next {
+			return false
+		}
+	}
+	c.stamp++
+	c.mark[cur] = c.stamp
+	stack := append(c.stack[:0], cur)
+	reached := 0
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, q := range c.nb[p] {
+			if q >= 0 && c.free[q] && c.mark[q] != c.stamp {
+				c.mark[q] = c.stamp
+				reached++
+				stack = append(stack, q)
+			}
+		}
+	}
+	c.stack = stack
+	return reached == c.left
 }
 
 // buildILP solves the Eqs. 12-15 formulation with lazy connectivity cuts.
