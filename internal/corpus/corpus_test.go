@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -126,33 +127,59 @@ func TestGenerateSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepResampling pins the deterministic-resampling contract: the
-// first draw of a rejected slot differs from what the sweep emits, but
-// the emitted instance is still a pure function of the config. Master
-// seed 1 at the default level is a known configuration whose slot 9
-// fails the washability proof on its first draw (the wash demand's
-// target set is not coverable by one flow path).
+// TestSweepResampling pins the deterministic-resampling contract: a
+// slot whose first draw is rejected holds the slot's next deterministic
+// draw instead, and no other slot changes, so the emitted corpus is
+// still a pure function of the config. The washability gate rejects
+// too few draws to pin one as a fixture, so the test rejects slot 9's
+// first draw itself and sends every other draw through the real gate.
 func TestSweepResampling(t *testing.T) {
 	ctx := context.Background()
 	cfg := SweepConfig{Seed: 1, N: 12}
-	benches, err := GenerateSweep(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	firstDraw := planSlot(cfg.withDefaults(), 9, 0)
-	if err := Validate(ctx, mustGen(t, firstDraw), LevelWashable); err == nil {
-		t.Skip("slot 9's first draw became washable; resampling fixture no longer applies")
+	offered := 0
+	draw := func(ctx context.Context, p Params, level Level) (*benchmarks.Benchmark, error) {
+		if p.Seed == firstDraw.Seed {
+			offered++
+			return nil, fmt.Errorf("corpus: %s: rejected", p.Name)
+		}
+		return GenerateValidated(ctx, p, level)
 	}
-	// The sweep still filled the slot, with a later deterministic draw.
-	got, err := Fingerprint(benches[9])
+	benches, err := generateSweep(ctx, cfg, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Fingerprint(mustGen(t, planSlot(cfg.withDefaults(), 9, 1)))
+	if offered != 1 {
+		t.Fatalf("slot 9's first draw was offered %d times, want 1", offered)
+	}
+	plain, err := GenerateSweep(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if len(benches) != cfg.N || len(plain) != cfg.N {
+		t.Fatalf("sweep sizes %d/%d, want %d", len(benches), len(plain), cfg.N)
+	}
+	fingerprint := func(b *benchmarks.Benchmark) string {
+		t.Helper()
+		f, err := Fingerprint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for i := range benches {
+		if i == 9 {
+			continue
+		}
+		if got, want := fingerprint(benches[i]), fingerprint(plain[i]); got != want {
+			t.Errorf("slot %d changed when slot 9 was resampled: %s vs %s", i, got, want)
+		}
+	}
+	got := fingerprint(benches[9])
+	if got == fingerprint(mustGen(t, firstDraw)) {
+		t.Fatal("slot 9 holds its rejected first draw")
+	}
+	if want := fingerprint(mustGen(t, planSlot(cfg.withDefaults(), 9, 1))); got != want {
 		t.Errorf("resampled slot 9 is not attempt 1's draw: %s vs %s", got, want)
 	}
 }
