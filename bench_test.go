@@ -22,6 +22,7 @@
 package pathdriverwash
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func runTableII(b *testing.B, name string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := harness.RunBenchmark(bm, benchOpts())
+		out, err := harness.RunBenchmarkContext(context.Background(), bm, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func runFig(b *testing.B, name string, fig4 bool) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		out, err := harness.RunBenchmark(bm, benchOpts())
+		out, err := harness.RunBenchmarkContext(context.Background(), bm, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -323,7 +324,7 @@ func BenchmarkBaselineDemandDriven(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := demandwash.Optimize(syn.Schedule, demandwash.Options{})
+		res, err := demandwash.OptimizeContext(context.Background(), syn.Schedule, demandwash.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +342,7 @@ func BenchmarkSubstrateDAWO(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dawo.Optimize(syn.Schedule, dawo.Options{}); err != nil {
+		if _, err := dawo.OptimizeContext(context.Background(), syn.Schedule, dawo.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +367,7 @@ func BenchmarkControlLayerCost(b *testing.B) {
 		b.Fatal(err)
 	}
 	layer := control.Synthesize(syn.Chip)
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{})
+	dres, err := dawo.OptimizeContext(context.Background(), syn.Schedule, dawo.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -150,7 +150,9 @@ func main() {
 			fmt.Println(res.Stats.Summary())
 		}
 	case "demand":
-		res, err := demandwash.Optimize(syn.Schedule, demandwash.Options{})
+		res, err := demandwash.OptimizeContext(ctx, syn.Schedule, demandwash.Options{
+			Budget: solve.Budget{Total: *budget},
+		})
 		if err != nil {
 			fatal(err)
 		}

@@ -11,11 +11,11 @@ import (
 
 func TestGenerateDeterministic(t *testing.T) {
 	p := Params{Seed: 99, Ops: 20, Shape: Diamond, Density: 0.6}
-	a, err := Generate(p)
+	a, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(p)
+	b, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Errorf("same params, different fingerprints: %s vs %s", fa, fb)
 	}
 
-	c, err := Generate(Params{Seed: 100, Ops: 20, Shape: Diamond, Density: 0.6})
+	c, err := GenerateContext(context.Background(), Params{Seed: 100, Ops: 20, Shape: Diamond, Density: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestGenerateAllShapes(t *testing.T) {
 	for _, shape := range Shapes() {
 		for _, ops := range []int{1, 6, 25} {
 			p := Params{Seed: 3, Ops: ops, Shape: shape, Density: 0.5}
-			b, err := Generate(p)
+			b, err := GenerateContext(context.Background(), p)
 			if err != nil {
 				t.Fatalf("%v/%d: %v", shape, ops, err)
 			}
@@ -64,10 +64,10 @@ func TestGenerateAllShapes(t *testing.T) {
 }
 
 func TestGenerateRejectsBadOps(t *testing.T) {
-	if _, err := Generate(Params{Seed: 1, Ops: 0, Shape: Pipeline}); err == nil {
+	if _, err := GenerateContext(context.Background(), Params{Seed: 1, Ops: 0, Shape: Pipeline}); err == nil {
 		t.Error("Ops=0 accepted")
 	}
-	if _, err := Generate(Params{Seed: 1, Ops: 200_000, Shape: Pipeline}); err == nil {
+	if _, err := GenerateContext(context.Background(), Params{Seed: 1, Ops: 200_000, Shape: Pipeline}); err == nil {
 		t.Error("Ops=200000 accepted")
 	}
 }
@@ -234,7 +234,7 @@ func TestCorpus200Deterministic(t *testing.T) {
 
 func mustGen(t *testing.T, p Params) *benchmarks.Benchmark {
 	t.Helper()
-	b, err := Generate(p)
+	b, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,12 @@ func FuzzGenerate(f *testing.F) {
 			Density:     density,
 			ReagentRate: reagentRate,
 		}
-		b, err := Generate(p)
+		b, err := GenerateContext(context.Background(), p)
 		if err != nil {
 			return // out-of-range params are rejected, not crashed on
 		}
 		// Accepted instances are pure functions of their params.
-		b2, err := Generate(p)
+		b2, err := GenerateContext(context.Background(), p)
 		if err != nil {
 			t.Fatalf("second Generate of accepted params failed: %v", err)
 		}

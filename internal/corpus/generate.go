@@ -19,17 +19,12 @@ var genKinds = []assay.OpKind{
 	assay.Mix, assay.Mix, assay.Heat, assay.Dilute, assay.Detect, assay.Mix,
 }
 
-// Generate builds one instance from its parameters. The result is
-// structurally valid (assay.Validate passes) but not yet proven
+// GenerateContext builds one instance from its parameters. The result
+// is structurally valid (assay.Validate passes) but not yet proven
 // synthesizable or washable — Validate runs those stages, and
-// GenerateValidated combines both.
-func Generate(p Params) (*benchmarks.Benchmark, error) {
-	return GenerateContext(context.Background(), p)
-}
-
-// GenerateContext is Generate under a context: the operation, edge, and
-// reagent loops are checkpointed (Layered edge wiring is quadratic in
-// Ops), aborting with solve.ErrBudgetExceeded once ctx is done.
+// GenerateValidated combines both. The operation, edge, and reagent
+// loops are checkpointed (Layered edge wiring is quadratic in Ops),
+// aborting with solve.ErrBudgetExceeded once ctx is done.
 // Cancellation never changes what is generated — instances remain pure
 // functions of Params — it only decides whether generation finishes.
 func GenerateContext(ctx context.Context, p Params) (*benchmarks.Benchmark, error) {

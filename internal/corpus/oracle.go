@@ -154,7 +154,7 @@ func CheckInstance(ctx context.Context, b *benchmarks.Benchmark, opts OracleOpti
 
 	// Exact-vs-heuristic wash path differential, one comparison per
 	// decided wash. The heuristic needs chain-ordered targets; target
-	// sets it cannot chain are skipped (BuildCover territory).
+	// sets it cannot chain are skipped (BuildCoverContext territory).
 	for _, w := range pres.Washes {
 		if opts.MaxPathChecks > 0 && v.PathChecks >= opts.MaxPathChecks {
 			break

@@ -29,9 +29,9 @@ var overrunInstances = []Params{
 // synthesize builds the wash-free base schedule without any deadline.
 func synthesize(t *testing.T, p Params) *schedule.Schedule {
 	t.Helper()
-	b, err := Generate(p)
+	b, err := GenerateContext(context.Background(), p)
 	if err != nil {
-		t.Fatalf("Generate(%s): %v", p.Name, err)
+		t.Fatalf("GenerateContext(context.Background(), %s): %v", p.Name, err)
 	}
 	syn, err := b.SynthesizeContext(context.Background())
 	if err != nil {
@@ -139,7 +139,7 @@ func TestDeadlineOverrunBounded(t *testing.T) {
 		const deadline = 100 * time.Millisecond
 		bound := 100 * time.Millisecond * raceFactor
 		p := Params{Name: "overrun-synth", Seed: 23, Ops: 400, Shape: Layered, Density: 1, ReagentRate: 2}
-		b, err := Generate(p)
+		b, err := GenerateContext(context.Background(), p)
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}

@@ -2,7 +2,6 @@ package dawo
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -39,20 +38,9 @@ func TestBudgetTotalDegradesNotErrors(t *testing.T) {
 	}
 }
 
-func TestDeprecatedTimeLimitIsBudgetExceeded(t *testing.T) {
-	res := fixture(t)
-	_, err := Optimize(res.Schedule, Options{TimeLimit: time.Nanosecond})
-	if err == nil {
-		t.Fatal("deprecated TimeLimit must still error on expiry")
-	}
-	if !errors.Is(err, solve.ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrBudgetExceeded)", err)
-	}
-}
-
 func TestStatsPhasesAndSkips(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, Options{})
+	out, err := OptimizeContext(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

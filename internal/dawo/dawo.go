@@ -18,10 +18,8 @@ package dawo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/obs"
@@ -36,17 +34,10 @@ type Options struct {
 	// MaxRounds caps wash-insertion fixpoint rounds (default 60).
 	MaxRounds int
 	// Budget bounds the run; only Budget.Total applies (DAWO solves no
-	// inner ILPs). Unlike the deprecated TimeLimit below, expiry of the
-	// Budget.Total deadline degrades gracefully: the remaining fixpoint
-	// rounds (pure BFS work) complete and the clean schedule is
+	// inner ILPs). Its expiry degrades gracefully: the remaining
+	// fixpoint rounds (pure BFS work) complete and the clean schedule is
 	// returned with Stats.Canceled set.
 	Budget solve.Budget
-	// TimeLimit caps total optimization time (default 60 s) and errors
-	// on expiry.
-	//
-	// Deprecated: prefer Budget.Total (or a context deadline), which
-	// returns the finished schedule instead of an error.
-	TimeLimit time.Duration
 }
 
 // Result is the baseline's output.
@@ -66,29 +57,14 @@ type Result struct {
 // foreign task counts, even of the same fluid type.
 var policy = contam.Policy{IgnoreFluidTypes: true}
 
-// Optimize inserts washes into the base (wash-free) schedule; see
-// OptimizeContext.
-func Optimize(base *schedule.Schedule, opts Options) (*Result, error) {
-	return OptimizeContext(context.Background(), base, opts)
-}
-
-// OptimizeContext is Optimize under a context. DAWO's fixpoint rounds
-// are pure BFS and sweep work — there is no partial incumbent a caller
-// could use (an unconverged schedule is still contaminated) — so a
-// canceled ctx or an expired Budget.Total does not abort: the remaining
-// rounds complete (cheaply) and the clean schedule is returned with
-// Stats.Canceled set. Only the deprecated Options.TimeLimit errors on
-// expiry, preserving the historical contract.
+// OptimizeContext inserts washes into the base (wash-free) schedule
+// under ctx. DAWO's fixpoint rounds are pure BFS and sweep work — there
+// is no partial incumbent a caller could use (an unconverged schedule
+// is still contaminated) — so a canceled ctx or an expired Budget.Total
+// does not abort: the remaining rounds complete (cheaply) and the clean
+// schedule is returned with Stats.Canceled set. A base that is already
+// clean is returned as given.
 func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 60
-	}
-	tl := opts.TimeLimit
-	if tl <= 0 {
-		tl = 60 * time.Second
-	}
-	deadline := time.Now().Add(tl)
 	ctx, stop := opts.Budget.Context(ctx)
 	defer stop()
 	defer func() { solve.ObserveOverrun(ctx) }()
@@ -102,97 +78,64 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	cp := solve.NewCheckpoint(ctx)
 	ctx, endFix := stats.StartPhaseContext(ctx, "wash-insertion")
 
-	cur := base
-	var washes []replan.WashSpec
-	var firstSkips map[contam.SkipReason]int
-	for round := 1; round <= maxRounds; round++ {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dawo: %w after %d rounds", solve.ErrBudgetExceeded, round-1)
-		}
-		// DAWO solves no ILPs; the fixpoint round is its unit of live
-		// progress (one label store per round, rounds are few).
-		prog.SetModel(fmt.Sprintf("bfs round %d", round))
-		an, err := analyzeRound(ctx, &cp, cur)
-		if err != nil {
-			return nil, err
-		}
-		if firstSkips == nil {
-			firstSkips = an.Skips
-		}
-		if len(an.Requirements) == 0 {
-			if err := cur.Validate(); err != nil {
-				return nil, fmt.Errorf("dawo: final schedule invalid: %w", err)
-			}
-			endFix()
-			stats.SetSkips(skipNames(firstSkips))
-			if cp.Err() != nil {
-				stats.MarkCanceled()
-			}
-			if span != nil {
-				span.SetAttr("rounds", round-1)
-				span.SetAttr("washes", len(washes))
-			}
-			return &Result{Schedule: cur, Washes: washes, Rounds: round - 1, Stats: stats}, nil
-		}
-		groups := contam.GroupRequirements(an.Requirements)
-		// No merging: each contaminated region gets its own wash (the
-		// baseline's lack of resource sharing).
-		for _, g := range groups {
-			plans, coveredSets, err := washpath.BuildCoverContext(ctx, cur.Chip, g.Targets, washpath.Options{})
+	round := 0
+	ins, err := replan.Fixpoint{
+		Policy:    policy,
+		MaxRounds: opts.MaxRounds,
+		Round: func(ctx context.Context, cur *schedule.Schedule, groups []contam.Group) ([]replan.WashSpec, error) {
+			// DAWO solves no ILPs; the fixpoint round is its unit of live
+			// progress (one label store per round, rounds are few).
+			round++
+			prog.SetModel(fmt.Sprintf("bfs round %d", round))
+			// No merging: each contaminated region gets its own wash (the
+			// baseline's lack of resource sharing).
+			specs, err := CoverWashes(ctx, cur, groups, func(g contam.Group) []string { return g.Culprits })
 			if err != nil {
-				return nil, fmt.Errorf("dawo: wash path for %v: %w", g.Targets, err)
+				return nil, fmt.Errorf("dawo: %w", err)
 			}
-			for i, plan := range plans {
-				washes = append(washes, replan.WashSpec{
-					ID:       fmt.Sprintf("w%d", len(washes)+1),
-					Path:     plan.Path,
-					Targets:  coveredSets[i],
-					Duration: WashDuration(cur, plan.Path.Len()),
-					Culprits: g.Culprits,
-					Before:   g.Before,
-				})
-			}
-		}
-		rp, err := replan.Build(base, washes)
-		if err != nil {
-			return nil, err
-		}
-		cur, err = rp.Greedy()
-		if err != nil {
-			return nil, err
-		}
+			return specs, nil
+		},
+	}.Run(ctx, &cp, base)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("dawo: no fixpoint in %d rounds: %w", maxRounds, solve.ErrBudgetExceeded)
+	if err := ins.Schedule.Validate(); err != nil {
+		return nil, fmt.Errorf("dawo: final schedule invalid: %w", err)
+	}
+	endFix()
+	stats.SetSkips(ins.SkipNames())
+	if cp.Err() != nil {
+		stats.MarkCanceled()
+	}
+	if span != nil {
+		span.SetAttr("rounds", ins.Rounds)
+		span.SetAttr("washes", len(ins.Washes))
+	}
+	return &Result{Schedule: ins.Schedule, Washes: ins.Washes, Rounds: ins.Rounds, Stats: stats}, nil
 }
 
-// analyzeRound runs the conservative necessity analysis for one
-// fixpoint round: checkpointed while the budget is live (so a deadline
-// aborts mid-analysis within one stride), completion mode once
-// cancellation has been observed — the fixpoint needs a complete
-// analysis to converge to a clean schedule, and the remaining rounds
-// are pure BFS work.
-func analyzeRound(ctx context.Context, cp *solve.Checkpoint, s *schedule.Schedule) (*contam.Analysis, error) {
-	if !cp.Canceled() {
-		an, err := contam.AnalyzeWithPolicyContext(ctx, s, policy)
-		if err == nil || !errors.Is(err, solve.ErrBudgetExceeded) {
-			return an, err
+// CoverWashes gives each demand group its own BFS wash paths: one wash
+// per path of the group's cover, ordered after culprits(g) and before
+// the group's users.
+func CoverWashes(ctx context.Context, cur *schedule.Schedule, groups []contam.Group,
+	culprits func(contam.Group) []string) ([]replan.WashSpec, error) {
+	var specs []replan.WashSpec
+	for _, g := range groups {
+		plans, coveredSets, err := washpath.BuildCoverContext(ctx, cur.Chip, g.Targets, washpath.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("wash path for %v: %w", g.Targets, err)
 		}
-		cp.Err() // latch the cancellation the aborted analysis observed
+		for i, plan := range plans {
+			specs = append(specs, replan.WashSpec{
+				Path:     plan.Path,
+				Targets:  coveredSets[i],
+				Duration: WashDuration(cur, plan.Path.Len()),
+				Culprits: culprits(g),
+				Before:   g.Before,
+			})
+		}
 	}
-	return contam.AnalyzeWithPolicy(s, policy)
-}
-
-// skipNames converts the typed skip counters to the string keys the
-// solve.Stats trace carries.
-func skipNames(skips map[contam.SkipReason]int) map[string]int {
-	if skips == nil {
-		return nil
-	}
-	out := make(map[string]int, len(skips))
-	for r, n := range skips {
-		out[r.String()] = n
-	}
-	return out
+	return specs, nil
 }
 
 // WashDuration computes t(w) = L(l_w)/v_f + t_d (Eq. 17) rounded up to

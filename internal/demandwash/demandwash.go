@@ -15,16 +15,13 @@ package demandwash
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/replan"
 	"pathdriverwash/internal/schedule"
 	"pathdriverwash/internal/solve"
-	"pathdriverwash/internal/washpath"
 )
 
 // Options tunes the heuristic.
@@ -36,12 +33,6 @@ type Options struct {
 	// fixpoint rounds complete and the clean schedule is returned with
 	// Stats.Canceled set.
 	Budget solve.Budget
-	// TimeLimit caps total optimization time (default 60 s) and errors
-	// on expiry.
-	//
-	// Deprecated: prefer Budget.Total (or a context deadline), which
-	// returns the finished schedule instead of an error.
-	TimeLimit time.Duration
 }
 
 // Result is the heuristic's output.
@@ -55,97 +46,42 @@ type Result struct {
 
 var policy = contam.Policy{IgnoreFluidTypes: true}
 
-// Optimize inserts maximally postponed washes into the base schedule;
-// see OptimizeContext.
-func Optimize(base *schedule.Schedule, opts Options) (*Result, error) {
-	return OptimizeContext(context.Background(), base, opts)
-}
-
-// OptimizeContext is Optimize under a context. Like DAWO, the fixpoint
-// must reach a contamination-free schedule to return anything usable,
-// so a canceled ctx or an expired Budget.Total does not abort: the
-// remaining rounds complete (pure BFS work) and the clean schedule is
-// returned with Stats.Canceled set. Only the deprecated
-// Options.TimeLimit errors on expiry, preserving the historical
-// contract.
+// OptimizeContext inserts maximally postponed washes into the base
+// schedule under ctx. Like DAWO, the fixpoint must reach a
+// contamination-free schedule to return anything usable, so a canceled
+// ctx or an expired Budget.Total does not abort: the remaining rounds
+// complete (pure BFS work) and the clean schedule is returned with
+// Stats.Canceled set.
 func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 60
-	}
-	tl := opts.TimeLimit
-	if tl <= 0 {
-		tl = 60 * time.Second
-	}
-	deadline := time.Now().Add(tl)
 	ctx, stop := opts.Budget.Context(ctx)
 	defer stop()
 	defer func() { solve.ObserveOverrun(ctx) }()
 	cp := solve.NewCheckpoint(ctx)
 
-	cur := base
-	var washes []replan.WashSpec
-	for round := 1; round <= maxRounds; round++ {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("demandwash: %w after %d rounds", solve.ErrBudgetExceeded, round-1)
-		}
-		an, err := analyzeRound(ctx, &cp, cur)
-		if err != nil {
-			return nil, err
-		}
-		if len(an.Requirements) == 0 {
-			if err := cur.Validate(); err != nil {
-				return nil, fmt.Errorf("demandwash: final schedule invalid: %w", err)
-			}
-			stats := &solve.Stats{}
-			if cp.Err() != nil {
-				stats.MarkCanceled()
-			}
-			return &Result{Schedule: cur, Washes: washes, Rounds: round - 1, Stats: stats}, nil
-		}
-		groups := contam.GroupRequirements(an.Requirements)
-		for _, g := range groups {
-			plans, coveredSets, err := washpath.BuildCoverContext(ctx, cur.Chip, g.Targets, washpath.Options{})
+	ins, err := replan.Fixpoint{
+		Policy:    policy,
+		MaxRounds: opts.MaxRounds,
+		Round: func(ctx context.Context, cur *schedule.Schedule, groups []contam.Group) ([]replan.WashSpec, error) {
+			specs, err := dawo.CoverWashes(ctx, cur, groups, func(g contam.Group) []string {
+				return postponedCulprits(base, g)
+			})
 			if err != nil {
-				return nil, fmt.Errorf("demandwash: wash path for %v: %w", g.Targets, err)
+				return nil, fmt.Errorf("demandwash: %w", err)
 			}
-			for i, plan := range plans {
-				spec := replan.WashSpec{
-					ID:       fmt.Sprintf("w%d", len(washes)+1),
-					Path:     plan.Path,
-					Targets:  coveredSets[i],
-					Duration: dawo.WashDuration(cur, plan.Path.Len()),
-					Culprits: postponedCulprits(base, g),
-					Before:   g.Before,
-				}
-				washes = append(washes, spec)
-			}
-		}
-		rp, err := replan.Build(base, washes)
-		if err != nil {
-			return nil, err
-		}
-		cur, err = rp.Greedy()
-		if err != nil {
-			return nil, err
-		}
+			return specs, nil
+		},
+	}.Run(ctx, &cp, base)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("demandwash: no fixpoint in %d rounds: %w", maxRounds, solve.ErrBudgetExceeded)
-}
-
-// analyzeRound mirrors dawo's round analysis: checkpointed while the
-// budget is live, completion mode (plain AnalyzeWithPolicy) once
-// cancellation has been observed, because the fixpoint needs a complete
-// analysis to converge.
-func analyzeRound(ctx context.Context, cp *solve.Checkpoint, s *schedule.Schedule) (*contam.Analysis, error) {
-	if !cp.Canceled() {
-		an, err := contam.AnalyzeWithPolicyContext(ctx, s, policy)
-		if err == nil || !errors.Is(err, solve.ErrBudgetExceeded) {
-			return an, err
-		}
-		cp.Err() // latch the cancellation the aborted analysis observed
+	if err := ins.Schedule.Validate(); err != nil {
+		return nil, fmt.Errorf("demandwash: final schedule invalid: %w", err)
 	}
-	return contam.AnalyzeWithPolicy(s, policy)
+	stats := &solve.Stats{}
+	if cp.Err() != nil {
+		stats.MarkCanceled()
+	}
+	return &Result{Schedule: ins.Schedule, Washes: ins.Washes, Rounds: ins.Rounds, Stats: stats}, nil
 }
 
 // postponedCulprits extends the group's culprits with every other

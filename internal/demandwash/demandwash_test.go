@@ -1,6 +1,7 @@
 package demandwash
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func fixture(t *testing.T) *synth.Result {
 
 func TestReachesCleanFixpoint(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, Options{})
+	out, err := OptimizeContext(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestReachesCleanFixpoint(t *testing.T) {
 
 func TestWashesSitImmediatelyBeforeUsers(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, Options{})
+	out, err := OptimizeContext(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestWashesSitImmediatelyBeforeUsers(t *testing.T) {
 
 func TestSlowerThanPDW(t *testing.T) {
 	res := fixture(t)
-	dd, err := Optimize(res.Schedule, Options{})
+	dd, err := OptimizeContext(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestSlowerThanPDW(t *testing.T) {
 
 func TestComparableWashCountToDAWO(t *testing.T) {
 	res := fixture(t)
-	dd, err := Optimize(res.Schedule, Options{})
+	dd, err := OptimizeContext(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := dawo.Optimize(res.Schedule, dawo.Options{})
+	dw, err := dawo.OptimizeContext(context.Background(), res.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestCleanAssayUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Optimize(res.Schedule, Options{})
+	out, err := OptimizeContext(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

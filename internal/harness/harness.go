@@ -64,16 +64,11 @@ type Outcome struct {
 	SynthTime, CompressTime time.Duration
 }
 
-// RunBenchmark executes both methods on one benchmark.
-func RunBenchmark(b *benchmarks.Benchmark, opts Options) (*Outcome, error) {
-	return RunBenchmarkContext(context.Background(), b, opts)
-}
-
-// RunBenchmarkContext is RunBenchmark under a context. Cancellation
-// propagates into every solver phase; DAWO and PDW degrade to their
-// heuristic incumbents (see their OptimizeContext docs), so a canceled
-// run still yields a valid, verified Outcome unless synthesis itself
-// was aborted at entry.
+// RunBenchmarkContext executes both methods on one benchmark under ctx.
+// Cancellation propagates into every solver phase; DAWO and PDW degrade
+// to their heuristic incumbents (see their OptimizeContext docs), so a
+// canceled run still yields a valid, verified Outcome unless synthesis
+// itself was aborted at entry.
 func RunBenchmarkContext(ctx context.Context, b *benchmarks.Benchmark, opts Options) (_ *Outcome, err error) {
 	// The benchmark span is the root of the run's trace tree: synthesis,
 	// the wash-free reference, DAWO, and PDW all nest under it, so a Chrome

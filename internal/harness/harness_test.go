@@ -25,7 +25,7 @@ func TestRunBenchmarkPCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunBenchmark(b, quickOpts())
+	out, err := RunBenchmarkContext(context.Background(), b, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRowsAndComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunBenchmark(b, quickOpts())
+	out, err := RunBenchmarkContext(context.Background(), b, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

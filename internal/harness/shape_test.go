@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/assay"
@@ -24,7 +25,7 @@ func TestTableIIShape(t *testing.T) {
 	for _, b := range benchmarks.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			out, err := RunBenchmark(b, quickOpts())
+			out, err := RunBenchmarkContext(context.Background(), b, quickOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestMotivatingExampleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{})
+	dres, err := dawo.OptimizeContext(context.Background(), syn.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRingTopologyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{})
+	dres, err := dawo.OptimizeContext(context.Background(), syn.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestStressLargeAssay(t *testing.T) {
 	t.Logf("stress chip %dx%d, %d tasks, wash-free makespan %ds",
 		syn.Chip.W, syn.Chip.H, len(syn.Schedule.Tasks()), syn.Schedule.Makespan())
 
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{TimeLimit: 5 * time.Minute, MaxRounds: 200})
+	dres, err := dawo.OptimizeContext(context.Background(), syn.Schedule, dawo.Options{MaxRounds: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

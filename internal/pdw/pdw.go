@@ -30,7 +30,6 @@ package pdw
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -87,9 +86,6 @@ func (o Options) withDefaults() Options {
 	o.Budget.Window = solve.Or(o.Budget.Window, 10*time.Second)
 	if o.MergeRadius <= 0 {
 		o.MergeRadius = 4
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 60
 	}
 	return o
 }
@@ -161,62 +157,45 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	}
 
 	insCtx, endInsertion := stats.StartPhaseContext(ctx, "wash-insertion")
-	cur := base
-	// plan is the last round's replan of base with washes; cur is its
-	// greedy schedule, which the final round found clean.
-	var plan *replan.Plan
-	var washes []replan.WashSpec
+	// integrated marks the removals absorbed into a wash so far.
 	integrated := map[string]bool{}
-	rounds := 0
-	var firstSkips map[contam.SkipReason]int
-	for ; rounds < opts.MaxRounds; rounds++ {
-		an, err := analyze(insCtx, &cp, cur, pol)
-		if err != nil {
-			return nil, err
-		}
-		if firstSkips == nil {
-			firstSkips = an.Skips
-		}
-		if len(an.Requirements) == 0 {
-			break
-		}
-		groups := contam.GroupRequirements(an.Requirements)
-		// Merging is a quality optimization, not a soundness requirement:
-		// once the budget expired the O(n³) merge fixpoint is skipped.
-		if !opts.DisableMerge && !cp.Canceled() {
-			groups = contam.MergeGroups(groups, opts.MergeRadius)
-		}
-		for _, g := range groups {
-			specs, err := buildWashSpecs(insCtx, &cp, cur, g, &washes, integrated, opts, stats)
-			if err != nil {
-				return nil, err
+	ins, err := replan.Fixpoint{
+		Policy:    pol,
+		MaxRounds: opts.MaxRounds,
+		Round: func(ctx context.Context, cur *schedule.Schedule, groups []contam.Group) ([]replan.WashSpec, error) {
+			// Merging is a quality optimization, not a soundness
+			// requirement: once the budget expired the O(n³) merge
+			// fixpoint is skipped.
+			if !opts.DisableMerge && !cp.Canceled() {
+				groups = contam.MergeGroups(groups, opts.MergeRadius)
 			}
-			washes = append(washes, specs...)
-		}
-		if plan, err = replan.Build(base, washes); err != nil {
-			return nil, err
-		}
-		if cur, err = plan.Greedy(); err != nil {
-			return nil, err
-		}
+			var specs []replan.WashSpec
+			for _, g := range groups {
+				gs, err := buildWashSpecs(ctx, &cp, cur, g, integrated, opts, stats)
+				if err != nil {
+					return nil, err
+				}
+				specs = append(specs, gs...)
+			}
+			return specs, nil
+		},
+	}.Run(insCtx, &cp, base)
+	if err != nil {
+		return nil, err
 	}
 	endInsertion()
-	if rounds == opts.MaxRounds {
-		return nil, fmt.Errorf("pdw: wash insertion did not converge in %d rounds: %w",
-			rounds, solve.ErrBudgetExceeded)
-	}
 
-	res := &Result{Washes: washes, Rounds: rounds, Skips: firstSkips, Stats: stats}
-	for _, w := range washes {
+	res := &Result{Washes: ins.Washes, Rounds: ins.Rounds, Skips: ins.Skips, Stats: stats}
+	for _, w := range res.Washes {
 		res.IntegratedRemovals += len(w.Integrates)
 	}
-	stats.SetSkips(skipNames(firstSkips))
+	stats.SetSkips(ins.SkipNames())
 
 	// Final time-window optimization (Eqs. 16-22 with disjunctions). A
 	// base that was already clean ran no round: re-time it greedily.
+	plan, cur := ins.Plan, ins.Schedule
 	if plan == nil {
-		var err error
-		if plan, err = replan.Build(base, washes); err != nil {
+		if plan, err = replan.Build(base, nil); err != nil {
 			return nil, err
 		}
 		if cur, err = plan.Greedy(); err != nil {
@@ -228,7 +207,7 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	// be the greedy incumbent (which final already is), and even
 	// building the model costs a pass over every edge. The phase keeps
 	// the MILP's name (see windowLabel).
-	if !opts.HeuristicWindows && len(washes) > 0 && cp.Err() == nil {
+	if !opts.HeuristicWindows && len(res.Washes) > 0 && cp.Err() == nil {
 		wctx, endWindows := stats.StartPhaseContext(ctx, windowLabel)
 		optimized, optimal, err := optimizeWindows(wctx, plan, cur, opts.Budget.Window, stats)
 		endWindows()
@@ -254,46 +233,15 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	m := final.ComputeMetrics(base)
 	res.Objective = opts.Alpha*float64(m.NWash) + opts.Beta*m.LWashMM + opts.Gamma*float64(m.TAssay)
 	if span != nil {
-		span.SetAttr("rounds", rounds)
-		span.SetAttr("washes", len(washes))
+		span.SetAttr("rounds", res.Rounds)
+		span.SetAttr("washes", len(res.Washes))
 		span.SetAttr("n_wash", m.NWash)
 		span.SetAttr("objective", res.Objective)
 		span.SetAttr("canceled", res.Stats.Canceled)
 	}
 	obs.Default().Counter("pdw_optimize_runs_total").Inc()
-	obs.Default().Counter("pdw_washes_built_total").Add(int64(len(washes)))
+	obs.Default().Counter("pdw_washes_built_total").Add(int64(len(res.Washes)))
 	return res, nil
-}
-
-// analyze runs the wash-necessity analysis for one fixpoint round.
-// While the budget is live the checkpointed form is used, so a
-// deadline expiring mid-analysis aborts it within one checkpoint
-// stride; the abort latches the checkpoint and the analysis reruns —
-// and every later round runs — in completion mode, because the
-// fixpoint needs a complete analysis to stay sound and the degraded
-// rounds are cheap (heuristic paths, no merge, no integration).
-func analyze(ctx context.Context, cp *solve.Checkpoint, s *schedule.Schedule, pol contam.Policy) (*contam.Analysis, error) {
-	if !cp.Canceled() {
-		an, err := contam.AnalyzeWithPolicyContext(ctx, s, pol)
-		if err == nil || !errors.Is(err, solve.ErrBudgetExceeded) {
-			return an, err
-		}
-		cp.Err() // latch the cancellation the aborted analysis observed
-	}
-	return contam.AnalyzeWithPolicy(s, pol)
-}
-
-// skipNames converts the typed skip counters to the string keys the
-// solve.Stats trace carries.
-func skipNames(skips map[contam.SkipReason]int) map[string]int {
-	if skips == nil {
-		return nil
-	}
-	out := make(map[string]int, len(skips))
-	for r, n := range skips {
-		out[r.String()] = n
-	}
-	return out
 }
 
 // buildWashSpecs turns one demand group into wash specs. Paths are
@@ -309,7 +257,7 @@ func skipNames(skips map[contam.SkipReason]int) map[string]int {
 // optimizations, and skipping them keeps the post-deadline tail to the
 // washes the fixpoint still has to insert for soundness.
 func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Schedule, g contam.Group,
-	existing *[]replan.WashSpec, integrated map[string]bool, opts Options, stats *solve.Stats) ([]replan.WashSpec, error) {
+	integrated map[string]bool, opts Options, stats *solve.Stats) ([]replan.WashSpec, error) {
 
 	cp.Err()
 	wopts := washpath.Options{Exact: !opts.HeuristicPaths && !cp.Canceled(),
@@ -323,7 +271,6 @@ func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Sch
 	for i, plan := range plans {
 		states = append(states, &specState{
 			spec: replan.WashSpec{
-				ID:       fmt.Sprintf("w%d", len(*existing)+i+1),
 				Path:     plan.Path,
 				Targets:  covered[i],
 				Culprits: append([]string(nil), g.Culprits...),
@@ -372,14 +319,11 @@ func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Sch
 				// Try extending the path; accept a single slightly
 				// longer path only.
 				extended := append(append([]geom.Point(nil), st.spec.Targets...), rm.ExcessCells...)
-				newPlans, newCovered, err := washpath.BuildCoverContext(ctx, cur.Chip, extended, wopts)
-				if err != nil || len(newPlans) != 1 {
+				plan, err := washpath.BuildContext(ctx, cur.Chip, washpath.Request{Targets: extended}, wopts)
+				if err != nil || plan.Path.Len() > st.spec.Path.Len()+2+len(rm.ExcessCells) {
 					continue
 				}
-				if newPlans[0].Path.Len() > st.spec.Path.Len()+2+len(rm.ExcessCells) {
-					continue
-				}
-				st.integrate(rm, trID, nr, nd, &newPlans[0].Path, newCovered[0])
+				st.integrate(rm, trID, nr, nd, &plan.Path, extended)
 				integrated[rm.ID] = true
 				break
 			}
@@ -432,15 +376,6 @@ func minDistance(a, b []geom.Point) int {
 		}
 	}
 	return best
-}
-
-func coversAll(set, want []geom.Point) bool {
-	for _, w := range want {
-		if !containsPoint(set, w) {
-			return false
-		}
-	}
-	return true
 }
 
 func containsPoint(pts []geom.Point, p geom.Point) bool {

@@ -1,6 +1,7 @@
 package pdw
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -94,7 +95,7 @@ func TestPDWBeatsOrMatchesDAWO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := dawo.Optimize(res.Schedule, dawo.Options{})
+	dw, err := dawo.OptimizeContext(context.Background(), res.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

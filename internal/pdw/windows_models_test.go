@@ -141,7 +141,7 @@ func TestWindowSearchStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs exact wash insertion on a reagent-dense draw")
 	}
-	b, err := corpus.Generate(corpus.Params{Name: "overrun-diamond", Seed: 5, Ops: 10,
+	b, err := corpus.GenerateContext(context.Background(), corpus.Params{Name: "overrun-diamond", Seed: 5, Ops: 10,
 		Shape: corpus.Diamond, Density: 1, ReagentRate: 8})
 	if err != nil {
 		t.Fatal(err)

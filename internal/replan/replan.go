@@ -5,7 +5,9 @@
 // ψ-integration edges of Eq. 21), fixes the relative order of
 // conflicting base tasks to the input schedule's order, and provides a
 // greedy earliest-fit rebuild used directly by the DAWO baseline and as
-// the ILP's initial incumbent in PDW.
+// the ILP's initial incumbent in PDW. Fixpoint is the wash-insertion
+// loop PDW, DAWO and the demand-driven heuristic share: it rebuilds
+// greedily after every round of washes until nothing is left to wash.
 package replan
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func TestPDWScheduleSimulatesClean(t *testing.T) {
 
 func TestDAWOScheduleSimulatesClean(t *testing.T) {
 	res := synthFixture(t)
-	out, err := dawo.Optimize(res.Schedule, dawo.Options{})
+	out, err := dawo.OptimizeContext(context.Background(), res.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

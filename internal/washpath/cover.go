@@ -9,12 +9,6 @@ import (
 	"pathdriverwash/internal/grid"
 )
 
-// BuildCover constructs one or more wash paths that together cover all
-// targets; see BuildCoverContext.
-func BuildCover(chip *grid.Chip, targets []geom.Point, opts Options) ([]Plan, [][]geom.Point, error) {
-	return BuildCoverContext(context.Background(), chip, targets, opts)
-}
-
 // BuildCoverContext constructs one or more wash paths that together
 // cover all targets. It first tries a single path (ILP or heuristic per
 // opts); when the target set cannot be served by one simple path — e.g.

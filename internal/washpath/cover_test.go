@@ -1,6 +1,7 @@
 package washpath
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/geom"
@@ -69,7 +70,7 @@ func TestConnectedParts(t *testing.T) {
 func TestBuildCoverSinglePath(t *testing.T) {
 	c := meshChip(t, 8, 8)
 	targets := []geom.Point{geom.Pt(3, 3), geom.Pt(4, 3)}
-	plans, covered, err := BuildCover(c, targets, Options{})
+	plans, covered, err := BuildCoverContext(context.Background(), c, targets, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestBuildCoverSplitsTee(t *testing.T) {
 		geom.Pt(3, 4), geom.Pt(4, 4), geom.Pt(5, 4), // bar
 		geom.Pt(4, 3), geom.Pt(4, 5), // stem up and down (plus shape)
 	}
-	plans, covered, err := BuildCover(c, targets, Options{})
+	plans, covered, err := BuildCoverContext(context.Background(), c, targets, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestBuildCoverDeviceAndChannel(t *testing.T) {
 	// (6,2)? that's inside the device; use channel cells east of it.
 	targets = append(d.Cells(), geom.Pt(6, 2))
 	targets = []geom.Point{geom.Pt(4, 2), geom.Pt(5, 2), geom.Pt(4, 3), geom.Pt(5, 3), geom.Pt(6, 3), geom.Pt(7, 3)}
-	plans, covered, err := BuildCover(c, targets, Options{})
+	plans, covered, err := BuildCoverContext(context.Background(), c, targets, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

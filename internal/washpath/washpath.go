@@ -54,8 +54,6 @@ type Options struct {
 	// TimeLimit bounds the ILP solve (default 5 s). On expiry the best
 	// incumbent is used if valid, otherwise the heuristic result.
 	TimeLimit time.Duration
-	// MaxCuts bounds lazy connectivity rounds (default 20).
-	MaxCuts int
 	// Trace optionally records each path ILP's size and search effort;
 	// nil disables recording.
 	Trace *solve.Stats
@@ -348,15 +346,14 @@ func (c *chainSearch) viable(cur int32) bool {
 	return reached == c.left
 }
 
+// maxCuts bounds the ILP's lazy connectivity rounds.
+const maxCuts = 20
+
 // buildILP solves the Eqs. 12-15 formulation with lazy connectivity cuts.
 func buildILP(ctx context.Context, chip *grid.Chip, req Request, opts Options, heur Plan, haveHeur bool) (_ Plan, err error) {
 	tl := opts.TimeLimit
 	if tl <= 0 {
 		tl = 5 * time.Second
-	}
-	maxCuts := opts.MaxCuts
-	if maxCuts <= 0 {
-		maxCuts = 20
 	}
 	deadline := time.Now().Add(tl)
 

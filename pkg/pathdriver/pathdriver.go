@@ -64,7 +64,7 @@ var (
 	// ErrInfeasible marks a model with no feasible point (an impossible
 	// wash-path cover, an unsatisfiable device library).
 	ErrInfeasible = solve.ErrInfeasible
-	// ErrBudgetExceeded marks a solve aborted by a Budget, TimeLimit, or
+	// ErrBudgetExceeded marks a solve aborted by a Budget, a round cap, or
 	// context deadline before reaching a usable answer. Optimizers that
 	// hold a feasible incumbent degrade to it instead of returning this.
 	ErrBudgetExceeded = solve.ErrBudgetExceeded

@@ -30,7 +30,7 @@ go build ./...
 # One telemetry path: metrics are always counted, so nothing outside
 # the obs package may branch on its span flag, and the simplex core
 # publishes only to solve.Progress.
-echo "==> telemetry gates"
+echo "==> telemetry and structure gates"
 gated=$(grep -rln --include='*.go' --exclude='*_test.go' 'obs\.Enabled()' cmd internal pkg examples bench |
     grep -v '^internal/obs/' || true)
 if [ -n "$gated" ]; then
@@ -46,6 +46,16 @@ fi
 # is only the window search's test oracle.
 if go list -f '{{.Imports}}' ./internal/pdw | grep -Eq 'pathdriverwash/internal/(lp|milp)[] ]'; then
     echo "internal/pdw must not import internal/lp or internal/milp outside its tests" >&2
+    exit 1
+fi
+# PDW, DAWO and the demand-driven wash share one wash-insertion fixpoint
+# (replan.Fixpoint), the only caller of the policy analysis outside
+# contam: a second analysis loop would be a second fixpoint.
+loops=$(grep -rlE --include='*.go' --exclude='*_test.go' 'contam\.AnalyzeWithPolicy(Context)?\(' cmd internal pkg examples bench |
+    grep -Ev '^internal/(contam|replan)/' || true)
+if [ -n "$loops" ]; then
+    echo "only internal/replan's wash-insertion fixpoint calls contam.AnalyzeWithPolicy[Context]; called from:" >&2
+    echo "$loops" >&2
     exit 1
 fi
 
