@@ -87,9 +87,9 @@ corpus-oracle:
 # Short fuzz pass over the corpus generator pipeline, every
 # wire-facing parser (assay documents, bench JSON, W3C traceparent and
 # pdw.v1 requests), the dense router and the dense ChainOrder against
-# their map-based references and the exact time-window search against
-# brute force (committed seeds under testdata/fuzz run in every
-# `make test`).
+# their map-based references and the exact time-window and wash-path
+# searches against brute force (committed seeds under testdata/fuzz run
+# in every `make test`).
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/corpus/ -run '^$$' -fuzz FuzzGenerate -fuzztime $(FUZZTIME)
@@ -99,4 +99,5 @@ fuzz:
 	go test ./internal/service/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 	go test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime $(FUZZTIME)
 	go test ./internal/washpath/ -run '^$$' -fuzz '^FuzzChainOrderMatchesReference$$' -fuzztime $(FUZZTIME)
+	go test ./internal/washpath/ -run '^$$' -fuzz FuzzWashPathMatchesBruteForce -fuzztime $(FUZZTIME)
 	go test ./internal/pdw/ -run '^$$' -fuzz FuzzWindowsMatchBruteForce -fuzztime $(FUZZTIME)

@@ -10,11 +10,11 @@
 //   - BenchmarkTableI_Motivating regenerates the running example's flow
 //     paths; BenchmarkFig3_Motivating its optimized schedule;
 //   - BenchmarkAblation_* quantify each design choice on the IVD
-//     benchmark (necessity analysis, merging, ψ-integration, path ILP,
-//     exact time windows);
+//     benchmark (necessity analysis, merging, ψ-integration, exact
+//     wash paths, exact time windows);
 //   - the Benchmark<Substrate> entries measure the supporting systems
 //     (simplex, branch & bound, router, synthesis, contamination
-//     analysis, wash-path ILP).
+//     analysis, wash-path search).
 //
 // Solver budgets are kept small so the whole suite completes in
 // minutes; `cmd/pdwbench` runs the same experiments with the paper's
@@ -293,7 +293,7 @@ func BenchmarkSubstrateContamAnalysis(b *testing.B) {
 	}
 }
 
-func BenchmarkSubstrateWashPathILP(b *testing.B) {
+func BenchmarkSubstrateWashPathSearch(b *testing.B) {
 	bm, _ := benchmarks.ByName("PCR")
 	syn, err := bm.Synthesize()
 	if err != nil {

@@ -44,11 +44,11 @@ func main() {
 		paths     = flag.Bool("paths", false, "print every flow path (Table I style)")
 		chipArt   = flag.Bool("chip", false, "print the chip layout")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
-		pathTL    = flag.Duration("path-time", 3*time.Second, "wash-path ILP time limit")
+		pathTL    = flag.Duration("path-time", 3*time.Second, "wash-path search time limit")
 		winTL     = flag.Duration("window-time", 10*time.Second, "time-window search time limit")
 		budget    = flag.Duration("budget", 0, "total wall-clock budget; on expiry the run degrades to heuristic incumbents")
 		stats     = flag.Bool("stats", false, "print the structured solve trace")
-		heuristic = flag.Bool("heuristic", false, "use BFS paths and greedy windows (no ILP)")
+		heuristic = flag.Bool("heuristic", false, "use BFS paths and greedy windows (no exact search)")
 		outJSON   = flag.String("out", "", "write the optimized schedule as JSON to this file")
 		listen    = flag.String("listen", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run")
 	)

@@ -71,7 +71,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "small solver budgets")
 		stats    = flag.Bool("stats", false, "print per-benchmark solve traces")
 		winTL    = flag.Duration("window-time", 10*time.Second, "time-window search limit per benchmark")
-		pathTL   = flag.Duration("path-time", 3*time.Second, "wash-path ILP limit per path")
+		pathTL   = flag.Duration("path-time", 3*time.Second, "wash-path search limit per path")
 		budget   = flag.Duration("budget", 0, "total sweep deadline; expiry degrades runs to heuristic incumbents")
 		par      = flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS; 1 by default with -count > 1)")
 		jsonOut  = flag.String("json", "", "write the machine-readable sweep result to this file")

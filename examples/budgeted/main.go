@@ -1,14 +1,17 @@
 // Budgeted: run PathDriver-Wash under a wall-clock budget and inspect
-// the structured solve telemetry. The whole pipeline — wash-path ILPs,
-// the time-window search, verification — shares one deadline; when it
-// expires mid-search, every remaining phase degrades to its best
-// feasible incumbent and the result is still a valid, contamination-free
-// schedule (never an error). The same degradation happens if the
-// context is canceled externally (^C, HTTP request gone, ...).
+// the structured solve telemetry. The whole pipeline — synthesis, wash
+// paths, the time-window search, verification — shares one deadline;
+// when it expires mid-search, every remaining phase degrades to its
+// best feasible incumbent and the result is still a valid,
+// contamination-free schedule (never an error). The same degradation
+// happens if the context is canceled externally (^C, HTTP request
+// gone, ...).
 package main
 
 import (
 	"context"
+	_ "embed"
+	"encoding/json"
 	"fmt"
 	"log"
 	"time"
@@ -16,27 +19,27 @@ import (
 	"pathdriverwash/pkg/pathdriver"
 )
 
+// overrunDiamond is a reagent-dense generated assay (the corpus draw
+// overrun-diamond of seed 9) as a pdw.v1 assay document. Its exact
+// time-window search wants about 9 s, so a one-second budget visibly
+// bites; the Table II benchmarks finish well inside one.
+//
+//go:embed overrun-diamond.json
+var overrunDiamond []byte
+
 func main() {
-	// The Synthetic1 benchmark: its exact wash-path ILPs want several
-	// seconds, so a one-second budget visibly bites.
-	b, err := pathdriver.BenchmarkByName("Synthetic1")
-	if err != nil {
+	var doc pathdriver.AssayDocument
+	if err := json.Unmarshal(overrunDiamond, &doc); err != nil {
 		log.Fatal(err)
 	}
-
-	ctx := context.Background()
-	syn, err := pathdriver.Synthesize(ctx, b.Assay, b.Config)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s: chip %dx%d, wash-free makespan %ds\n",
-		b.Name, syn.Chip.W, syn.Chip.H, syn.Schedule.Makespan())
-
-	res, err := pathdriver.OptimizeWash(ctx, syn.Schedule, pathdriver.Options{
-		Budget: pathdriver.Budget{
-			Total:   time.Second,            // whole-pipeline deadline
-			PerPath: 500 * time.Millisecond, // each wash-path ILP
-			Window:  10 * time.Second,       // time-window search (clipped by Total)
+	res, err := pathdriver.Solve(context.Background(), pathdriver.Request{
+		Assay: doc,
+		Options: pathdriver.Options{
+			Budget: pathdriver.Budget{
+				Total:   time.Second,            // whole-pipeline deadline
+				PerPath: 500 * time.Millisecond, // each wash-path search
+				Window:  10 * time.Second,       // time-window search (clipped by Total)
+			},
 		},
 	})
 	if err != nil {
@@ -46,8 +49,10 @@ func main() {
 		log.Fatal(err) // never happens: degraded results are verified too
 	}
 
+	fmt.Printf("%s: chip %dx%d, wash-free makespan %ds\n",
+		doc.Name, res.Reference.Chip.W, res.Reference.Chip.H, res.Reference.Makespan())
 	fmt.Printf("PDW under 1s budget: %d washes, makespan %ds\n",
-		len(res.Washes), res.Schedule.Makespan())
+		res.Washes, res.Schedule.Makespan())
 	if res.Stats.Canceled {
 		fmt.Println("budget expired: later phases returned their incumbents")
 	}

@@ -1,6 +1,6 @@
-// Wash-path demo: the ILP wash-path construction of Eqs. (12)-(15)
-// against the BFS heuristic the DAWO baseline uses, on a hand-built
-// chip. A contaminated channel segment sits near the chip centre; the
+// Wash-path demo: the exact wash-path construction of Eqs. (12)-(15)
+// (branch and bound over the paths the paper's path ILP admits) against
+// the BFS heuristic the DAWO baseline uses, on a hand-built chip. A contaminated channel segment sits near the chip centre; the
 // demo shows the port selection and path each method produces and the
 // resulting path lengths (the L_wash contribution of Eq. 25).
 package main
@@ -64,10 +64,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ILP (PDW, Eqs. 12-15): %d cells, %s -> %s, proven optimal: %v\n  %s\n\n",
+	fmt.Printf("exact (PDW, Eqs. 12-15): %d cells, %s -> %s, proven optimal: %v\n  %s\n\n",
 		exact.Path.Len(), exact.FlowPort.ID, exact.WastePort.ID, exact.Optimal, exact.Path)
 
 	saved := heur.Path.Len() - exact.Path.Len()
-	fmt.Printf("ILP saves %d cells (%.0f mm of wash path, %.1f s of flush time)\n",
+	fmt.Printf("exact saves %d cells (%.0f mm of wash path, %.1f s of flush time)\n",
 		saved, chip.CellLengthOf(saved), chip.CellLengthOf(saved)/chip.FlowVelocityMMs)
 }

@@ -3,7 +3,7 @@
 // synthetics of Table II into parameter sweeps over grid sizes,
 // operation counts, DAG shapes, and contamination densities — plus a
 // differential oracle (oracle.go) that cross-checks PDW, DAWO, and the
-// exact wash-path ILP on every generated instance.
+// exact wash-path search on every generated instance.
 //
 // Two properties make the corpus usable as regression-radar input:
 //

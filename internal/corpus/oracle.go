@@ -22,9 +22,10 @@ import (
 //   - both optimizers' outputs pass schedule.Validate and
 //     contam.Verify, and replay contamination-free through the
 //     internal/sim executor (three independent checkers);
-//   - per wash, the exact washpath ILP never returns a longer path
-//     than the BFS heuristic (the ILP warm-starts from the heuristic
-//     incumbent, so exact ≤ heuristic by construction);
+//   - per wash, the exact wash-path search never returns a longer
+//     path than the BFS heuristic (the heuristic is its first
+//     incumbent and only shorter paths replace it, so exact ≤
+//     heuristic by construction);
 //   - a budget-canceled PDW solve still returns a feasible, clean
 //     schedule (graceful degradation to incumbents);
 //   - metamorphic relabelings (fluid types end-to-end, operation IDs
@@ -74,15 +75,14 @@ func (v *Verdict) OK() bool { return len(v.Violations) == 0 }
 type OracleOptions struct {
 	// Budget bounds each full solve (default 60 s).
 	Budget time.Duration
-	// PathTimeLimit bounds each exact wash-path ILP in the
+	// PathTimeLimit bounds each exact wash-path search in the
 	// exact-vs-heuristic differential (default 2 s).
 	PathTimeLimit time.Duration
 	// CancelBudget is the deliberately-too-small budget of the
 	// graceful-degradation check (default 5 ms).
 	CancelBudget time.Duration
 	// MaxPathChecks caps the exact-vs-heuristic comparisons per
-	// instance (0: unlimited). The ILP solves dominate oracle cost on
-	// wash-heavy instances; corpus-scale sweeps cap at a few per
+	// instance (0: unlimited). Corpus-scale sweeps cap at a few per
 	// instance and still accumulate hundreds of differentials.
 	MaxPathChecks int
 	// Seed drives the metamorphic transformations (default 1).
@@ -111,7 +111,7 @@ func (o OracleOptions) withDefaults() OracleOptions {
 // oracleSolve are the PDW options of the oracle's reference solves:
 // fully deterministic heuristics (BFS paths, greedy windows) so that
 // two solves of relabeled copies of the same instance cannot diverge
-// through ILP time-limit noise.
+// through time-limit noise.
 func oracleSolve(budget time.Duration) pdw.Options {
 	return pdw.Options{
 		HeuristicPaths:   true,

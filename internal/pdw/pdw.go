@@ -18,14 +18,15 @@
 //     targets and whose windows are compatible are absorbed into the
 //     wash (ψ=1), eliminating their separate channel occupation.
 //  3. Optimized wash paths and time windows (Sec. II-C, Eqs. 12-20):
-//     each wash path is solved as an ILP (internal/washpath). The
-//     final time windows solve the paper's window MILP (task start
+//     each wash path is the optimum of the paper's path ILP, found by
+//     branch and bound over the paths it admits (internal/washpath).
+//     The final time windows solve the paper's window MILP (task start
 //     times, one disjunction per free wash conflict) exactly, by depth-
 //     first branch and bound over the orders of the conflicting pairs
 //     with a longest-path bound, starting from the greedy incumbent and
 //     run best-effort under a time limit like the paper's Gurobi setup.
-//     The MILP itself, solved by internal/milp, is the search's test
-//     oracle.
+//     Both MILPs, solved by internal/milp, are the searches' test
+//     oracles.
 package pdw
 
 import (
@@ -54,7 +55,7 @@ type Options struct {
 	// Budget bounds the run: Budget.Total sets a wall-clock deadline
 	// for the whole pipeline (enforced through the context, degrading
 	// every later phase to its incumbent on expiry), Budget.PerPath
-	// caps each wash-path ILP (default 3 s) and Budget.Window the
+	// caps each wash-path search (default 3 s) and Budget.Window the
 	// time-window search (default 10 s).
 	Budget solve.Budget
 
@@ -71,7 +72,7 @@ type Options struct {
 	DisableMerge bool
 	// DisableIntegration turns off ψ-integration of excess removals.
 	DisableIntegration bool
-	// HeuristicPaths uses BFS wash paths instead of the path ILP.
+	// HeuristicPaths uses BFS wash paths instead of the exact search.
 	HeuristicPaths bool
 	// HeuristicWindows skips the time-window search and keeps the
 	// greedy sweep assignment.
@@ -245,7 +246,7 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 }
 
 // buildWashSpecs turns one demand group into wash specs. Paths are
-// built for the group's own targets first (ILP or BFS per options);
+// built for the group's own targets first (exact or BFS per options);
 // excess removals are then absorbed only when (nearly) free: either the
 // wash path already flushes over the removal's excess cells, or
 // extending the path to cover them keeps a single path and adds at most

@@ -14,8 +14,8 @@ import (
 // path). All flow-port/waste-port pairs and both chain orientations are
 // tried; the shortest valid simple path wins. This is the BFS wash-path
 // construction used by the DAWO baseline and by excess-fluid removal
-// routing; PDW's ILP (internal/washpath) optimizes the same structure
-// globally.
+// routing; PDW's exact search (internal/washpath) optimizes the same
+// structure globally.
 func FlushPath(c *grid.Chip, chain []geom.Point, o Options) (grid.Path, *grid.Port, *grid.Port, error) {
 	return FlushPathCheck(c, chain, o, nil)
 }

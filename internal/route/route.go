@@ -2,7 +2,7 @@
 //
 // Both the PathDriver-style synthesis substrate and the DAWO baseline
 // route with breadth-first search over the routable cells of the chip;
-// the PDW wash-path ILP uses the same graph structure but optimizes
+// the PDW wash-path search uses the same graph structure but optimizes
 // globally (see internal/washpath). This package provides:
 //
 //   - ShortestPath: BFS shortest path between two cells, avoiding an

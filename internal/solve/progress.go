@@ -61,8 +61,8 @@ func (p *Progress) SetPhase(name string) {
 	p.phase.Store(&name)
 }
 
-// SetModel publishes the ILP model currently being solved (once per
-// ILP, from washpath's cut rounds and pdw's window search).
+// SetModel publishes the model currently being solved (once per
+// search, from washpath's path search and pdw's window search).
 func (p *Progress) SetModel(label string) {
 	if p == nil {
 		return

@@ -43,7 +43,7 @@ type Budget struct {
 	// deadline from it; on expiry every phase degrades to its best
 	// feasible incumbent. 0 means unbounded.
 	Total time.Duration
-	// PerPath caps each wash-path ILP solve (0: package default, 3 s).
+	// PerPath caps each wash-path search (0: package default, 3 s).
 	PerPath time.Duration
 	// Window caps the time-window search (0: package default, 10 s).
 	Window time.Duration

@@ -1,6 +1,7 @@
 package washpath
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -115,4 +116,73 @@ func TestExactILPMatchesBruteForce(t *testing.T) {
 				i, plan.Path.Len(), want, targets)
 		}
 	}
+}
+
+// bruteEq14 enumerates every simple path from a flow port to a waste
+// port through the cells the path ILP may occupy (routable non-port
+// cells, less the device cells that are not targets) and returns the
+// fewest cells, ports included, of those that satisfy Eqs. 12-15, or -1
+// if none does. Exponential — only for chips of about 20 usable cells.
+func bruteEq14(c *grid.Chip, targets []geom.Point) int {
+	tset := map[geom.Point]bool{}
+	for _, t := range targets {
+		tset[t] = true
+	}
+	usable := func(p geom.Point) bool {
+		return c.InBounds(p) && c.Routable(p) && c.PortAt(p) == nil && (c.DeviceAt(p) == nil || tset[p])
+	}
+	// eq1314 checks Eqs. 13 and 14 on a complete path.
+	eq1314 := func(path []geom.Point) bool {
+		on := map[geom.Point]bool{}
+		for _, p := range path {
+			on[p] = true
+		}
+		cells := path[1 : len(path)-1]
+		for i, p := range path {
+			n := 0
+			for _, q := range p.Neighbors() {
+				// Ports see only cells (Eq. 13); cells see cells and
+				// the two chosen ports (Eq. 14).
+				if on[q] && (i > 0 && i < len(path)-1 || slices.Contains(cells, q)) {
+					n++
+				}
+			}
+			if i == 0 || i == len(path)-1 {
+				if n != 1 {
+					return false
+				}
+			} else if n != 2 {
+				return false
+			}
+		}
+		return true
+	}
+	best := -1
+	var path []geom.Point
+	var dfs func(cur geom.Point, covered int)
+	dfs = func(cur geom.Point, covered int) {
+		for _, n := range cur.Neighbors() {
+			if pt := c.PortAt(n); pt != nil && pt.Kind == grid.WastePort && len(path) > 1 && covered == len(tset) {
+				full := append(slices.Clone(path), n)
+				if eq1314(full) && (best < 0 || len(full) < best) {
+					best = len(full)
+				}
+			}
+			if !usable(n) || slices.Contains(path, n) {
+				continue
+			}
+			add := 0
+			if tset[n] {
+				add = 1
+			}
+			path = append(path, n)
+			dfs(n, covered+add)
+			path = path[:len(path)-1]
+		}
+	}
+	for _, fp := range c.FlowPorts() {
+		path = []geom.Point{fp.At}
+		dfs(fp.At, 0)
+	}
+	return best
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // BuildCoverContext constructs one or more wash paths that together
-// cover all targets. It first tries a single path (ILP or heuristic per
+// cover all targets. It first tries a single path (exact or heuristic per
 // opts); when the target set cannot be served by one simple path — e.g.
 // a channel chain with a device block hanging off it — the set is split
 // into device blocks and channel components, each washed separately,

@@ -1,11 +1,14 @@
 package washpath
 
 import (
+	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"pathdriverwash/internal/geom"
 	"pathdriverwash/internal/grid"
+	"pathdriverwash/internal/solve"
 )
 
 // meshChip builds a fully-channelled WxH chip with ports on all corners:
@@ -257,5 +260,123 @@ func TestPortSelectionPicksShortSide(t *testing.T) {
 	}
 	if plan.FlowPort.ID != "in2" {
 		t.Errorf("flow port = %s want in2 (path %v)", plan.FlowPort.ID, plan.Path)
+	}
+}
+
+// TestExactNeverLongerThanHeuristic builds a dead-end bay: the flow
+// port and the waste port sit side by side at its mouth and the target
+// at its far end. The BFS chain runs out along one row and back along
+// the next, touching itself; every Eqs. 12-15 path has to come back a
+// row further out, two cells longer. The exact build keeps the
+// heuristic, proven.
+func TestExactNeverLongerThanHeuristic(t *testing.T) {
+	c := grid.NewChip("bay", 7, 3)
+	if _, err := c.AddPort("in", grid.FlowPort, geom.Pt(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddPort("out", grid.WastePort, geom.Pt(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for y := 0; y < 3; y++ {
+		for x := 0; x < 7; x++ {
+			if c.PortAt(geom.Pt(x, y)) == nil {
+				if err := c.AddChannel(geom.Pt(x, y)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	targets := []geom.Point{geom.Pt(6, 0)}
+	heur, err := Build(c, Request{Targets: targets}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq14 := bruteEq14(c, targets); heur.Path.Len() != 14 || eq14 != 16 {
+		t.Fatalf("fixture: heuristic %d cells, shortest Eqs. 12-15 path %d; want 14 and 16", heur.Path.Len(), eq14)
+	}
+	exact, err := Build(c, Request{Targets: targets}, Options{Exact: true, TimeLimit: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Path.Len() > heur.Path.Len() {
+		t.Fatalf("exact path %d cells > heuristic %d: %v", exact.Path.Len(), heur.Path.Len(), exact.Path)
+	}
+	if !exact.Exact || !exact.Optimal {
+		t.Errorf("exact %v, optimal %v: the search settles this plan", exact.Exact, exact.Optimal)
+	}
+}
+
+// TestBuildDedupesTargets requires a repeated target to count once: the
+// plan and the trace label match those of the distinct set.
+func TestBuildDedupesTargets(t *testing.T) {
+	c := meshChip(t, 7, 7)
+	distinct := []geom.Point{geom.Pt(2, 4), geom.Pt(3, 4), geom.Pt(4, 4)}
+	repeated := append(slices.Clone(distinct), geom.Pt(3, 4), geom.Pt(2, 4))
+	var plans [2]Plan
+	for i, ts := range [][]geom.Point{distinct, repeated} {
+		stats := &solve.Stats{}
+		plan, err := Build(c, Request{Targets: ts}, Options{Exact: true, TimeLimit: 20 * time.Second, Trace: stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.MILPs[0].Label; got != "wash-path[3t r0]" {
+			t.Errorf("targets %v: label %q, want wash-path[3t r0]", ts, got)
+		}
+		plans[i] = plan
+	}
+	if !slices.Equal(plans[0].Path.Cells, plans[1].Path.Cells) {
+		t.Errorf("repeated targets changed the plan: %v vs %v", plans[1].Path, plans[0].Path)
+	}
+}
+
+// TestSearchManySegments covers targets in more segments than the
+// memoized tour bound takes: every other cell of a corridor's top row,
+// with holes that force detours along an optional bottom row. Without
+// the bottom row the segments lie in series, and each is reached only
+// through the others. No chain joins the targets, so there is no
+// heuristic; the search must match the path ILP.
+func TestSearchManySegments(t *testing.T) {
+	const w = 25
+	for _, rows := range []int{1, 2} {
+		c := grid.NewChip("corridor", w, rows)
+		if _, err := c.AddPort("in", grid.FlowPort, geom.Pt(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddPort("out", grid.WastePort, geom.Pt(w-1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		var targets []geom.Point
+		for x := 1; x < w-1; x++ {
+			if x%2 == 1 {
+				targets = append(targets, geom.Pt(x, 0))
+			}
+			if rows == 1 || x%6 != 4 {
+				if err := c.AddChannel(geom.Pt(x, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for x := 0; x < w && rows == 2; x++ {
+			if err := c.AddChannel(geom.Pt(x, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(targets) <= dpSegs {
+			t.Fatalf("fixture has %d segments, want more than %d", len(targets), dpSegs)
+		}
+		if _, err := Build(c, Request{Targets: targets}, Options{}); err == nil {
+			t.Fatal("fixture: the heuristic chains the targets")
+		}
+		want, err := buildILP(context.Background(), c, Request{Targets: targets}, time.Minute, Plan{}, false)
+		if err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		got, err := Build(c, Request{Targets: targets}, Options{Exact: true, TimeLimit: time.Minute})
+		if err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		if got.Path.Len() != want.Path.Len() || !got.Optimal {
+			t.Fatalf("%d rows: search %d cells (optimal %v), ILP %d: %v", rows, got.Path.Len(), got.Optimal, want.Path.Len(), got.Path)
+		}
 	}
 }

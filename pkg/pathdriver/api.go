@@ -35,7 +35,7 @@ type Weights struct {
 type Options struct {
 	// Budget bounds the solve end to end: Total is enforced as a
 	// context deadline over the whole pipeline, PerPath caps each
-	// wash-path ILP and Window the time-window search. On the wire,
+	// wash-path search and Window the time-window search. On the wire,
 	// durations are "2s"-style strings or integer nanoseconds.
 	Budget Budget `json:"budget"`
 	// Weights weight Eq. 26.
@@ -46,7 +46,7 @@ type Options struct {
 	// MaxRounds caps wash-insertion fixpoint rounds (0: default 60).
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// Heuristic selects BFS wash paths and greedy windows instead of
-	// the exact ILPs — the cheap mode the service degrades to under
+	// the exact searches — the cheap mode the service degrades to under
 	// load.
 	Heuristic bool `json:"heuristic,omitempty"`
 	// DisableNecessity, DisableMerge, and DisableIntegration switch off

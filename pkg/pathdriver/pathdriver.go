@@ -46,13 +46,13 @@ import (
 // Budgets, cancellation, and telemetry re-exports.
 type (
 	// Budget bounds a solve: Total is the end-to-end deadline applied as
-	// a context deadline; PerPath and Window cap the wash-path ILPs and
-	// the time-window search.
+	// a context deadline; PerPath and Window cap the wash-path searches
+	// and the time-window search.
 	Budget = solve.Budget
 	// SolveStats is the structured telemetry attached to PDWResult and
 	// DAWOResult: per-phase wall times, branch-and-bound node and pruning
-	// counts, simplex iterations, the incumbent trajectory, wash-path ILP
-	// sizes, and Type 1/2/3 skip counts.
+	// counts, simplex iterations, the incumbent trajectory, wash-path
+	// model sizes, and Type 1/2/3 skip counts.
 	SolveStats = solve.Stats
 	// MILPStat describes one MILP solved during optimization.
 	MILPStat = solve.MILPStat

@@ -42,10 +42,16 @@ if go list -f '{{.Imports}}' ./internal/lp | grep -q 'pathdriverwash/internal/ob
     echo "internal/lp must not import internal/obs" >&2
     exit 1
 fi
-# pdw solves its time windows without an LP: the window MILP on milp
-# is only the window search's test oracle.
-if go list -f '{{.Imports}}' ./internal/pdw | grep -Eq 'pathdriverwash/internal/(lp|milp)[] ]'; then
-    echo "internal/pdw must not import internal/lp or internal/milp outside its tests" >&2
+# No production path solves an LP: the time windows and the wash paths
+# are exact searches, and the paper's MILPs on lp and milp are only
+# their test oracles.
+oracles=$({ go list -f '{{.ImportPath}} {{.Imports}}' ./... &&
+    (cd bench && go list -f '{{.ImportPath}} {{.Imports}}' ./...); } |
+    grep -Ev '^pathdriverwash/internal/(lp|milp) ' |
+    grep -E 'pathdriverwash/internal/(lp|milp)[] ]' | cut -d' ' -f1 || true)
+if [ -n "$oracles" ]; then
+    echo "only tests may import internal/lp or internal/milp; non-test code of these packages does:" >&2
+    echo "$oracles" >&2
     exit 1
 fi
 # PDW, DAWO and the demand-driven wash share one wash-insertion fixpoint

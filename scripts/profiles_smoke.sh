@@ -1,8 +1,8 @@
 #!/bin/sh
 # profiles_smoke.sh — end-to-end smoke for the anomaly-triggered
 # profiling pipeline, available as `make profiles-smoke`. Starts a real
-# pdwd on an ephemeral port, forces a budget-overrun solve (a paper
-# benchmark under a 100 ms total budget degrades to heuristic incumbents
+# pdwd on an ephemeral port, forces a budget-overrun solve (a generated
+# assay under a 100 ms total budget degrades to heuristic incumbents
 # with canceled=true), and then walks the whole evidence chain the
 # observability layer promises: the overrun record appears on
 # /debug/requests?outcome=overrun carrying a profile_id, the
@@ -53,16 +53,16 @@ case "$solves" in
 esac
 
 # The budget must outlast synthesis, or pdwd answers 503 instead of a
-# degraded 200, and expire inside exact PDW. On a 2-core x86 host
-# Synthetic1 synthesis takes 1-2 ms and exact PDW on it about 17 s,
-# nearly all of it wash-path ILPs (the exact window search takes under
-# a millisecond), so 100 ms sits two orders of magnitude inside both
-# margins. Re-check them whenever the wash-path solver gets faster
-# (ROADMAP item 4).
-echo "==> force a budget-overrun solve (Synthetic1 benchmark, 100 ms budget)"
-go run ./cmd/pdw -bench Synthetic1 -export >"$tmp/assay.json"
+# degraded 200, and expire inside exact PDW. Every Table II benchmark's
+# exact PDW finishes in tens of ms, so the request carries the
+# generated assay examples/budgeted runs (the corpus draw
+# overrun-diamond of seed 9): on a 2-core x86 host its synthesis takes
+# a few ms and exact PDW about 9 s, nearly all of it the exact window
+# search, so 100 ms sits well inside both margins. Re-check them
+# whenever the window search gets faster (ROADMAP item 5).
+echo "==> force a budget-overrun solve (overrun-diamond draw, 100 ms budget)"
 printf '{"assay": %s, "options": {"budget": {"total": "100ms"}}}' \
-    "$(cat "$tmp/assay.json")" >"$tmp/request.json"
+    "$(cat examples/budgeted/overrun-diamond.json)" >"$tmp/request.json"
 curl -fsS "http://$addr/v1/solve" -d @"$tmp/request.json" -o "$tmp/response.json"
 if ! grep -q '"canceled":[[:space:]]*true' "$tmp/response.json"; then
     echo "profiles-smoke: solve did not overrun its budget:" >&2
