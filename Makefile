@@ -16,7 +16,7 @@ test-full:
 
 # Race-detector pass over the concurrency-bearing packages.
 race:
-	go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service
+	go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service ./internal/solve
 
 # The solve server (see README "Running the service").
 pdwd:

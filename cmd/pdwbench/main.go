@@ -325,9 +325,9 @@ func main() {
 			if o == nil {
 				continue
 			}
-			fmt.Printf("%-14s DAWO %6.2fs  PDW %6.2fs (windows optimal: %v, B&B nodes %d, simplex pivots %d)\n",
+			fmt.Printf("%-14s DAWO %6.2fs  PDW %6.2fs (windows optimal: %v, B&B nodes %d)\n",
 				o.Benchmark.Name, o.DAWOTime.Seconds(), o.PDWTime.Seconds(), o.PDW.WindowsOptimal,
-				o.PDW.Stats.Nodes(), o.PDW.Stats.SimplexIters())
+				o.PDW.Stats.Nodes())
 		}
 		fmt.Printf("total runtime: %.1fs\n", wall.Seconds())
 	}

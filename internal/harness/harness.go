@@ -339,10 +339,9 @@ func BuildBenchFile(benches []*benchmarks.Benchmark, outs []*Outcome, errs []err
 				AvgWaitSeconds: r.DAWOAvgWait, WashTimeSeconds: r.DAWOWashTime,
 				BufferMM: r.DAWOBuffer, WallSeconds: o.DAWOTime.Seconds(),
 				BBNodes: o.DAWO.Stats.Nodes(), BBPruned: o.DAWO.Stats.Pruned(),
-				SimplexPivots: o.DAWO.Stats.SimplexIters(),
-				Canceled:      o.DAWO.Stats.Canceled,
-				WallSamples:   dawoSamples,
-				PhaseSeconds:  o.DAWO.Stats.PhaseSeconds(),
+				Canceled:     o.DAWO.Stats.Canceled,
+				WallSamples:  dawoSamples,
+				PhaseSeconds: o.DAWO.Stats.PhaseSeconds(),
 			},
 			PDW: report.MethodResult{
 				NWash: r.PDWNWash, LWashMM: r.PDWLWash,
@@ -350,7 +349,6 @@ func BuildBenchFile(benches []*benchmarks.Benchmark, outs []*Outcome, errs []err
 				AvgWaitSeconds: r.PDWAvgWait, WashTimeSeconds: r.PDWWashTime,
 				BufferMM: r.PDWBuffer, WallSeconds: o.PDWTime.Seconds(),
 				BBNodes: o.PDW.Stats.Nodes(), BBPruned: o.PDW.Stats.Pruned(),
-				SimplexPivots:  o.PDW.Stats.SimplexIters(),
 				WindowsOptimal: o.PDW.WindowsOptimal,
 				Canceled:       o.PDW.Stats.Canceled,
 				WallSamples:    pdwSamples,

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -30,5 +31,51 @@ func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
 	}
 	if r.Status != plain.Status || !approx(r.Obj, plain.Obj) {
 		t.Fatalf("context solve diverged: %+v vs %+v", r, plain)
+	}
+}
+
+// coverProblem builds a seeded covering LP whose phase 1 takes ~200
+// pivots at n=40.
+func coverProblem(n int) *Problem {
+	rng := rand.New(rand.NewSource(1))
+	p := NewProblem(n)
+	for v := 0; v < n; v++ {
+		p.Objective[v] = float64(rng.Intn(9) + 1)
+	}
+	for r := 0; r < n; r++ {
+		c := map[int]float64{}
+		for v := 0; v < n; v++ {
+			c[v] = float64(rng.Intn(5))
+		}
+		p.AddConstraint(c, GE, float64(10+rng.Intn(20)), "cover")
+	}
+	return p
+}
+
+// expiringCtx reports cancellation from its n-th Err poll on, so a
+// solve is cut off mid-pivot-loop at a deterministic point.
+type expiringCtx struct {
+	context.Context
+	polls, n int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCanceledSolveReportsPivots pins the pivot accounting of a
+// relaxation cut off by cancellation: the error return carries the
+// pivots it spent.
+func TestCanceledSolveReportsPivots(t *testing.T) {
+	ctx := &expiringCtx{Context: context.Background(), n: 100}
+	res, err := SolveContext(ctx, coverProblem(40))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Iterations == 0 {
+		t.Fatal("canceled solve reported no pivots; fixture cancels too early")
 	}
 }

@@ -1,6 +1,7 @@
 // Package lp implements a two-phase primal simplex solver for linear
-// programs. Together with internal/milp it replaces the commercial ILP
-// solver (Gurobi) the paper uses to solve the formulations of Sec. III.
+// programs. With internal/milp it solves the paper's ILPs (Sec. III,
+// solved on Gurobi there) as the test oracle of the exact searches
+// that solve those models in production; no non-test code imports it.
 //
 // Problems are stated over n decision variables with per-variable bounds
 // [Lower_i, Upper_i] (Lower_i >= 0) and a list of linear constraints with
@@ -161,10 +162,39 @@ type Result struct {
 // which indicates a bug or a numerically hostile model.
 var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
 
+// maxPivot is the pivot budget of one solve.
+const maxPivot = 200000
+
+// The numeric tolerances of the simplex and of the branch & bound and
+// feasibility checks built on it (internal/milp uses them too).
 const (
-	eps      = 1e-9
-	feasTol  = 1e-7
-	maxPivot = 200000
+	// eps is the smallest pivot element, the ratio test's tie width and
+	// the bound gap below which a variable is fixed: below it is noise.
+	eps = 1e-9
+	// feasTol is the slack a constant row or the phase-1 objective may
+	// keep and still count as satisfied: the residue of exact pivots.
+	feasTol = 1e-7
+	// costTol is how negative a reduced cost must be for its column to
+	// enter: smaller ones are rounding, and entering them would cycle.
+	costTol = 1e-8
+	// IntTol is how far from an integer a relaxation value may lie and
+	// still count as integral: the pivots' rounding error, and no more.
+	IntTol = 1e-6
+	// CrossTol is how far a branch's lower bound may pass its upper bound
+	// before the node is infeasible: the rounding of equal bounds only.
+	CrossTol = 1e-12
+	// PruneTol is the margin by which a node's relaxation bound must
+	// beat the incumbent to be explored: a tie cannot improve on it.
+	PruneTol = 1e-9
+	// ImproveTol is the margin by which an integral point must beat the
+	// incumbent to replace it, so a re-found optimum keeps the first.
+	ImproveTol = 1e-12
+	// BoundTol is how far a checked point may lie outside a variable's
+	// bounds or, at an integer variable, off an integer.
+	BoundTol = 1e-6
+	// RowTol is how far a checked point may break a row: looser than
+	// BoundTol, since a row sums the rounding of many terms.
+	RowTol = 1e-5
 )
 
 // Solve optimizes the problem with two-phase simplex.
@@ -188,28 +218,21 @@ func SolveContext(ctx context.Context, p *Problem) (Result, error) {
 		}
 		return Result{}, err
 	}
-	if t == nil { // all variables eliminated; constraints pre-checked
-		x := make([]float64, p.NumVars)
-		obj := 0.0
-		for i := 0; i < p.NumVars; i++ {
-			x[i] = elim[i]
-			obj += p.cost(i) * x[i]
+	res := Result{Status: Optimal}
+	if t != nil {
+		t.check = solve.NewCheckpoint(ctx)
+		res, err = t.solveTwoPhase()
+		res.Iterations = t.iters
+		if err != nil || res.Status != Optimal {
+			return res, err
 		}
-		return Result{Status: Optimal, X: x, Obj: obj}, nil
 	}
-	t.check = solve.NewCheckpoint(ctx)
-	t.prog = solve.ProgressFromContext(ctx)
-	res, err := t.solveTwoPhase()
-	t.flushProgress()
-	res.Iterations = t.iters
-	if err != nil || res.Status != Optimal {
-		return res, err
-	}
-	// Map tableau solution back to problem variables.
+	// Map the tableau solution back to problem variables; with no
+	// tableau every variable was eliminated.
 	x := make([]float64, p.NumVars)
 	obj := 0.0
 	for i := 0; i < p.NumVars; i++ {
-		if fx, ok := elim[i]; ok && t.colOf[i] < 0 {
+		if fx, ok := elim[i]; ok {
 			x[i] = fx
 		} else {
 			x[i] = res.X[t.colOf[i]] + shift[i]
@@ -217,7 +240,35 @@ func SolveContext(ctx context.Context, p *Problem) (Result, error) {
 		obj += p.cost(i) * x[i]
 	}
 	res.X, res.Obj = x, obj
+	if err := p.CheckFeasible(x); err != nil {
+		return res, fmt.Errorf("lp: optimal point fails its check: %w", err)
+	}
 	return res, nil
+}
+
+// CheckFeasible verifies that x lies within BoundTol of every
+// variable's bounds and within RowTol of satisfying every row, on the
+// problem as stated.
+func (p *Problem) CheckFeasible(x []float64) error {
+	if len(x) != p.NumVars {
+		return fmt.Errorf("lp: point has %d entries for %d variables", len(x), p.NumVars)
+	}
+	for i, v := range x {
+		if lo, hi := p.lower(i), p.upper(i); v < lo-BoundTol || v > hi+BoundTol {
+			return fmt.Errorf("lp: x[%d]=%g violates bounds [%g,%g]", i, v, lo, hi)
+		}
+	}
+	for _, c := range p.Constraints {
+		s := 0.0
+		for i, cf := range c.Coefs {
+			s += cf * x[i]
+		}
+		if c.Rel == LE && s > c.RHS+RowTol || c.Rel == GE && s < c.RHS-RowTol ||
+			c.Rel == EQ && math.Abs(s-c.RHS) > RowTol {
+			return fmt.Errorf("lp: constraint %q violated: lhs=%g rel=%v rhs=%g", c.Name, s, c.Rel, c.RHS)
+		}
+	}
+	return nil
 }
 
 func (p *Problem) validate() error {
@@ -256,29 +307,11 @@ type tableau struct {
 	rowName []string
 	iters   int
 	check   solve.Checkpoint // optional cancellation, polled every ctxCheckEvery pivots
-
-	// prog is the optional live progress view resolved once from the
-	// context at SolveContext; progFlushed tracks the pivots already
-	// published into it at the ctxCheckEvery cadence.
-	prog        *solve.Progress
-	progFlushed int
-}
-
-// flushProgress publishes the pivots accumulated since the last flush
-// into the live progress view. One nil check when no view is attached;
-// called only at the ctxCheckEvery cadence and at solve exit.
-func (t *tableau) flushProgress() {
-	if t.prog != nil && t.iters > t.progFlushed {
-		t.prog.AddPivots(int64(t.iters - t.progFlushed))
-		t.progFlushed = t.iters
-	}
 }
 
 // ctxCheckEvery is the pivot interval between cancellation checks: small
 // enough that cancellation lands within a handful of dense-row pivots,
-// large enough that the poll never shows up in profiles. It equals the
-// shared solve.Checkpoint stride — this loop is where that cadence was
-// first calibrated.
+// large enough that the poll never shows up in profiles.
 const ctxCheckEvery = solve.CheckpointStride
 
 // buildTableau converts the problem to equational standard form.
@@ -491,7 +524,7 @@ func (t *tableau) solveTwoPhase() (Result, error) {
 		// (column value 0); any negative cost direction is unbounded
 		// because finite upper bounds were encoded as rows.
 		for j := 0; j < ncols; j++ {
-			if t.cost[j] < -1e-8 {
+			if t.cost[j] < -costTol {
 				return Result{Status: Unbounded}, nil
 			}
 		}
@@ -561,7 +594,6 @@ func (t *tableau) optimize(cost []float64, ncols int) (Status, error) {
 			return 0, ErrIterationLimit
 		}
 		if t.iters%ctxCheckEvery == 0 {
-			t.flushProgress()
 			if err := t.check.Err(); err != nil {
 				return 0, err
 			}
@@ -603,7 +635,7 @@ func (t *tableau) optimize(cost []float64, ncols int) (Status, error) {
 				continue
 			}
 			r := cost[j] - price[j]
-			if r < -1e-8 {
+			if r < -costTol {
 				if useBland {
 					enter = j
 					break

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -20,33 +21,49 @@ func solveOK(t *testing.T, p *Problem) Result {
 	return r
 }
 
-// checkFeasible asserts r.X satisfies all constraints and bounds of p.
+// checkFeasible asserts x satisfies all constraints and bounds of p.
 func checkFeasible(t *testing.T, p *Problem, x []float64) {
 	t.Helper()
-	for i := 0; i < p.NumVars; i++ {
-		if x[i] < p.lower(i)-1e-6 || x[i] > p.upper(i)+1e-6 {
-			t.Errorf("x[%d]=%g violates bounds [%g,%g]", i, x[i], p.lower(i), p.upper(i))
+	if err := p.CheckFeasible(x); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckFeasible pins the feasibility rule lp applies to its own
+// optima and milp to its incumbents: a point that breaks a bound by
+// more than BoundTol, or any relation by more than RowTol, fails with
+// an error naming it, and one within the tolerances passes.
+func TestCheckFeasible(t *testing.T) {
+	p := NewProblem(4)
+	p.SetBounds(0, 1, 4)
+	p.AddConstraint(map[int]float64{1: 1}, LE, 5, "le")
+	p.AddConstraint(map[int]float64{2: 1}, GE, 2, "ge")
+	p.AddConstraint(map[int]float64{3: 1}, EQ, 3, "eq")
+	for _, tc := range []struct {
+		name string
+		i    int // the entry moved off the feasible point {2, 0, 2, 3}
+		v    float64
+		want string // "" when the point must pass
+	}{
+		{"feasible", 0, 2, ""},
+		{"within tolerances", 0, 4 + BoundTol/2, ""},
+		{"le within tolerance", 1, 5 + RowTol/2, ""},
+		{"below lower bound", 0, 1 - 2*BoundTol, "bounds"},
+		{"above upper bound", 0, 4 + 2*BoundTol, "bounds"},
+		{"le broken", 1, 5 + 2*RowTol, `"le"`},
+		{"ge broken", 2, 2 - 2*RowTol, `"ge"`},
+		{"eq broken above", 3, 3 + 2*RowTol, `"eq"`},
+		{"eq broken below", 3, 3 - 2*RowTol, `"eq"`},
+	} {
+		x := []float64{2, 0, 2, 3}
+		x[tc.i] = tc.v
+		err := p.CheckFeasible(x)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: x = %v: err = %v, want one naming %s", tc.name, x, err, tc.want)
 		}
 	}
-	for _, c := range p.Constraints {
-		s := 0.0
-		for i, cf := range c.Coefs {
-			s += cf * x[i]
-		}
-		switch c.Rel {
-		case LE:
-			if s > c.RHS+1e-5 {
-				t.Errorf("constraint %q: %g <= %g violated", c.Name, s, c.RHS)
-			}
-		case GE:
-			if s < c.RHS-1e-5 {
-				t.Errorf("constraint %q: %g >= %g violated", c.Name, s, c.RHS)
-			}
-		case EQ:
-			if math.Abs(s-c.RHS) > 1e-5 {
-				t.Errorf("constraint %q: %g == %g violated", c.Name, s, c.RHS)
-			}
-		}
+	if p.CheckFeasible([]float64{2, 0, 2}) == nil {
+		t.Error("a point of the wrong length passed")
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package milp solves mixed 0-1/integer linear programs with best-first
-// branch & bound over the LP relaxations of internal/lp. It stands in
-// for the commercial ILP solver (Gurobi) used in the paper's experiments;
-// like the paper's setup, solves run under a time limit and return the
-// best-effort incumbent when the limit is reached (Sec. IV: "the runtime
-// ... was limited ... to return the best-effort results").
+// branch & bound over the LP relaxations of internal/lp. It solves the
+// paper's ILPs, which the paper solves on Gurobi under a time limit
+// (Sec. IV), as the test oracle of the exact wash-path and time-window
+// searches; no non-test code imports it. Like the paper's setup, a
+// solve runs under a time limit and returns its best incumbent when
+// the limit is reached.
 package milp
 
 import (
@@ -15,27 +16,8 @@ import (
 	"time"
 
 	"pathdriverwash/internal/lp"
-	"pathdriverwash/internal/obs"
 	"pathdriverwash/internal/solve"
 )
-
-// Branch & bound totals, resolved once at package load. The node loop
-// publishes only to the search's solve.Progress; these advance once
-// per finished search, from the same counts the search returns.
-var (
-	bbNodesTotal      = obs.Default().Counter("pdw_bb_nodes_total")
-	bbPrunedTotal     = obs.Default().Counter("pdw_bb_pruned_total")
-	bbIncumbentsTotal = obs.Default().Counter("pdw_bb_incumbents_total")
-	lpPivotsTotal     = obs.Default().Counter("pdw_lp_simplex_pivots_total")
-)
-
-// bbBatchEvery is the node interval between bb-batch span events; a
-// 200k-node search contributes ~780 events to the trace.
-const bbBatchEvery = 256
-
-// slowRelaxationPivots is the pivot count from which a node relaxation
-// is worth a retroactive lp.simplex span in a traced search.
-const slowRelaxationPivots = 512
 
 // Problem is a linear program plus integrality marks.
 type Problem struct {
@@ -134,14 +116,6 @@ type Result struct {
 	Bound float64
 	// Nodes is the number of explored branch & bound nodes.
 	Nodes int
-	// Pruned counts subproblems discarded by the incumbent bound
-	// without an LP solve.
-	Pruned int
-	// SimplexIters sums simplex pivots over all node relaxations.
-	SimplexIters int
-	// Incumbents is the incumbent trajectory: one entry per improving
-	// feasible solution, in discovery order.
-	Incumbents []solve.Incumbent
 	// Wall is the solve's wall-clock time.
 	Wall time.Duration
 }
@@ -158,8 +132,6 @@ func (r Result) Gap() float64 {
 	den := math.Max(1, math.Abs(r.Obj))
 	return (r.Obj - r.Bound) / den
 }
-
-const intTol = 1e-6
 
 type node struct {
 	bound  float64
@@ -205,39 +177,11 @@ func Solve(p *Problem, opts Options) (Result, error) {
 // the search stops promptly — mid-relaxation included — and returns the
 // best feasible incumbent (Status Feasible), or Status Limit when none
 // was found yet.
-func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, err error) {
+func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error) {
 	start := time.Now()
 	if len(p.Integer) != p.LP.NumVars {
 		return Result{}, fmt.Errorf("milp: Integer has %d marks for %d variables", len(p.Integer), p.LP.NumVars)
 	}
-	ctx, span := obs.Start(ctx, "milp.bnb",
-		obs.A("vars", p.LP.NumVars), obs.A("int_vars", p.intVars()),
-		obs.A("constraints", len(p.LP.Constraints)))
-
-	// The search's own counts. The loops below publish them live only
-	// to prog; the exit block adds them to the process totals once, so
-	// error returns still count the work they did.
-	var trajectory []solve.Incumbent
-	nodes, pruned, simplexIters := 0, 0, 0
-	defer func() {
-		status := "error"
-		if err == nil {
-			status = res.Status.String()
-		}
-		bbNodesTotal.Add(int64(nodes))
-		bbPrunedTotal.Add(int64(pruned))
-		bbIncumbentsTotal.Add(int64(len(trajectory)))
-		lpPivotsTotal.Add(int64(simplexIters))
-		obs.Default().Counter("pdw_milp_solves_total", "status", status).Inc()
-		obs.Default().Histogram("pdw_milp_wall_seconds", nil).Observe(time.Since(start).Seconds())
-		if span != nil {
-			span.SetAttr("status", status)
-			span.SetAttr("nodes", nodes)
-			span.SetAttr("pruned", pruned)
-			span.SetAttr("simplex_pivots", simplexIters)
-			span.End()
-		}
-	}()
 	limit := opts.TimeLimit
 	if limit <= 0 {
 		limit = DefaultTimeLimit
@@ -263,25 +207,9 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 		}
 	}
 
-	// prog is the optional live progress view of the root solve; each
-	// publication below is one atomic op on a path that already paid
-	// for an LP solve (per node) or a trajectory append (per
-	// incumbent), so the instrumented cost is noise and the detached
-	// cost one nil check.
-	prog := solve.ProgressFromContext(ctx)
-
 	var haveInc bool
 	var incX []float64
 	incObj := math.Inf(1)
-	record := func(obj float64, atNode int) {
-		trajectory = append(trajectory, solve.Incumbent{
-			Obj: obj, Node: atNode, Elapsed: time.Since(start),
-		})
-		prog.Incumbent(obj)
-		if span != nil {
-			span.Event("incumbent", obs.A("obj", obj), obs.A("node", atNode))
-		}
-	}
 	if opts.Incumbent != nil {
 		if err := p.CheckFeasible(opts.Incumbent); err != nil {
 			return Result{}, fmt.Errorf("milp: provided incumbent is %w: %w", solve.ErrInfeasible, err)
@@ -289,7 +217,6 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 		incX = append([]float64(nil), opts.Incumbent...)
 		incObj = p.objOf(incX)
 		haveInc = true
-		record(incObj, 0)
 	}
 
 	solveNode := func(n *node) (lp.Result, error) {
@@ -307,31 +234,18 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 			}
 		}
 		for i := range lo {
-			if lo[i] > hi[i]+1e-12 {
+			if lo[i] > hi[i]+lp.CrossTol {
 				return lp.Result{Status: lp.Infeasible}, nil
 			}
 		}
 		sub.Lower, sub.Upper = lo, hi
-		if span == nil {
-			return lp.SolveContext(dctx, &sub)
-		}
-		t0 := time.Now()
-		res, err := lp.SolveContext(dctx, &sub)
-		if res.Iterations >= slowRelaxationPivots {
-			status := "error"
-			if err == nil {
-				status = res.Status.String()
-			}
-			obs.RecordSpan(ctx, "lp.simplex", t0, time.Since(t0),
-				obs.A("pivots", res.Iterations), obs.A("status", status))
-		}
-		return res, err
+		return lp.SolveContext(dctx, &sub)
 	}
 
 	root := &node{bound: math.Inf(-1), fixLo: map[int]float64{}, fixHi: map[int]float64{}, branch: -1}
 	queue := &nodeQueue{root}
 	heap.Init(queue)
-	nextID := 1
+	nextID, nodes := 1, 0
 	hitLimit, unbounded := false, false
 	// unsettled is the least relaxation bound over integral points that
 	// failed CheckFeasible after rounding (+inf: none).
@@ -344,16 +258,10 @@ search:
 			break
 		}
 		n := heap.Pop(queue).(*node)
-		// Best-first pop order makes n.bound the best lower bound over
-		// all open subproblems: exactly the live "bound" of the solve.
-		prog.SetBound(n.bound)
-		if haveInc && n.bound >= incObj-1e-9 {
-			pruned++
-			prog.AddPruned(1)
+		if haveInc && n.bound >= incObj-lp.PruneTol {
 			continue // pruned by bound
 		}
 		res, err := solveNode(n)
-		simplexIters += res.Iterations
 		if err != nil {
 			if errors.Is(err, lp.ErrIterationLimit) ||
 				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -366,12 +274,6 @@ search:
 			return Result{}, err
 		}
 		nodes++
-		prog.AddNodes(1)
-		if span != nil && nodes%bbBatchEvery == 0 {
-			span.Event("bb-batch",
-				obs.A("nodes", nodes), obs.A("queue", queue.Len()),
-				obs.A("pruned", pruned), obs.A("incumbent", incObj))
-		}
 		switch res.Status {
 		case lp.Infeasible:
 			continue
@@ -385,9 +287,7 @@ search:
 			// by branching on the first unfixed integer.
 			continue
 		}
-		if haveInc && res.Obj >= incObj-1e-9 {
-			pruned++
-			prog.AddPruned(1)
+		if haveInc && res.Obj >= incObj-lp.PruneTol {
 			continue
 		}
 		frac := p.mostFractional(res.X)
@@ -395,14 +295,13 @@ search:
 			// Integral: new incumbent, once the rounded point checks
 			// out. A point that does not leaves its subproblem
 			// unsettled, so the search can no longer claim optimality.
-			if !haveInc || res.Obj < incObj-1e-12 {
+			if !haveInc || res.Obj < incObj-lp.ImproveTol {
 				x := roundIntegers(p, res.X)
 				if p.CheckFeasible(x) != nil {
 					unsettled = math.Min(unsettled, res.Obj)
 					continue
 				}
 				incX, incObj, haveInc = x, p.objOf(x), true
-				record(incObj, nodes)
 			}
 			continue
 		}
@@ -421,10 +320,7 @@ search:
 		heap.Push(queue, up)
 	}
 
-	out := Result{
-		Nodes: nodes, Pruned: pruned, SimplexIters: simplexIters,
-		Incumbents: trajectory, Wall: time.Since(start),
-	}
+	out := Result{Nodes: nodes, Wall: time.Since(start)}
 	if unbounded {
 		out.Status = Unbounded
 		return out, nil
@@ -437,9 +333,6 @@ search:
 			bestBound = n.bound
 		}
 	}
-	// Publish the final bound so a proven optimum shows gap 0 on
-	// /debug/solves for the remainder of the root solve.
-	prog.SetBound(bestBound)
 	if !hitLimit && queue.Len() == 0 && math.IsInf(unsettled, 1) {
 		if !haveInc {
 			out.Status = Infeasible
@@ -454,28 +347,6 @@ search:
 	}
 	out.Status, out.Bound = Limit, bestBound
 	return out, nil
-}
-
-// Stat is the solve.Stats record of this search over p.
-func (r Result) Stat(label string, p *Problem) solve.MILPStat {
-	return solve.MILPStat{
-		Label: label,
-		Vars:  p.LP.NumVars, IntVars: p.intVars(),
-		Constraints: len(p.LP.Constraints),
-		Nodes:       r.Nodes, Pruned: r.Pruned, SimplexIters: r.SimplexIters,
-		Status: r.Status.String(), Optimal: r.Status == Optimal,
-		Wall: r.Wall, Incumbents: r.Incumbents,
-	}
-}
-
-func (p *Problem) intVars() int {
-	n := 0
-	for _, isInt := range p.Integer {
-		if isInt {
-			n++
-		}
-	}
-	return n
 }
 
 func padded(s []float64, n int, def float64) []float64 {
@@ -502,7 +373,7 @@ func withOverride(m map[int]float64, k int, v float64) map[int]float64 {
 // mostFractional returns the integer variable whose relaxation value is
 // farthest from integral, or -1 if all are integral within tolerance.
 func (p *Problem) mostFractional(x []float64) int {
-	best, bestDist := -1, intTol
+	best, bestDist := -1, lp.IntTol
 	for i, isInt := range p.Integer {
 		if !isInt {
 			continue
@@ -534,38 +405,15 @@ func (p *Problem) objOf(x []float64) float64 {
 	return s
 }
 
-// CheckFeasible verifies x against bounds, constraints, and integrality.
+// CheckFeasible verifies x against the bounds and rows by
+// lp.Problem.CheckFeasible and the integer marks within lp.BoundTol.
 func (p *Problem) CheckFeasible(x []float64) error {
-	if len(x) != p.LP.NumVars {
-		return fmt.Errorf("milp: point has %d entries for %d variables", len(x), p.LP.NumVars)
+	if err := p.LP.CheckFeasible(x); err != nil {
+		return err
 	}
-	const tol = 1e-6
-	lo := padded(p.LP.Lower, p.LP.NumVars, 0)
-	hi := padded(p.LP.Upper, p.LP.NumVars, math.Inf(1))
 	for i, v := range x {
-		if v < lo[i]-tol || v > hi[i]+tol {
-			return fmt.Errorf("milp: x[%d]=%g violates bounds [%g,%g]", i, v, lo[i], hi[i])
-		}
-		if p.Integer[i] && math.Abs(v-math.Round(v)) > tol {
+		if p.Integer[i] && math.Abs(v-math.Round(v)) > lp.BoundTol {
 			return fmt.Errorf("milp: x[%d]=%g is not integral", i, v)
-		}
-	}
-	for _, c := range p.LP.Constraints {
-		s := 0.0
-		for i, cf := range c.Coefs {
-			s += cf * x[i]
-		}
-		ok := true
-		switch c.Rel {
-		case lp.LE:
-			ok = s <= c.RHS+1e-5
-		case lp.GE:
-			ok = s >= c.RHS-1e-5
-		case lp.EQ:
-			ok = math.Abs(s-c.RHS) <= 1e-5
-		}
-		if !ok {
-			return fmt.Errorf("milp: constraint %q violated: lhs=%g rel=%v rhs=%g", c.Name, s, c.Rel, c.RHS)
 		}
 	}
 	return nil

@@ -7,8 +7,8 @@
 // debug handler.
 //
 // The package is a leaf like internal/solve: it imports only the
-// standard library, so every solver layer (lp, milp, washpath, pdw,
-// dawo, synth, harness) and both CLIs can depend on it without cycles.
+// standard library, so every solver layer (washpath, pdw, dawo,
+// synth, harness) and both CLIs can depend on it without cycles.
 //
 // # Cost contract
 //
@@ -20,10 +20,10 @@
 //   - every *Span method is nil-safe and returns immediately.
 //
 // Metrics are always counted, once per finished search, phase or run,
-// and never inside a pivot or node loop: those loops publish only to
-// their solve.Progress, and the solver feeds the registry from the
-// same counts when it returns (DESIGN.md "Observability cost
-// contract"). No code outside this package calls Enabled.
+// and never inside a node loop: the searches publish only to their
+// solve.Progress as they run, and feed the registry from the same
+// counts when they return (DESIGN.md "Observability cost contract").
+// No code outside this package calls Enabled.
 //
 // Enabling (cmd flags -listen, -trace, -events, or Enable directly)
 // turns on span recording and delivery to the registered sinks.
@@ -205,11 +205,9 @@ func (s *Span) End() {
 }
 
 // RecordSpan delivers an already-timed region as a completed span
-// without the Start/End context dance: hot paths note time.Now() once
-// when enabled and call RecordSpan retroactively, paying the span
-// allocation only for regions that turn out to matter (e.g. milp
-// records an lp.simplex span only for node relaxations above a pivot
-// threshold).
+// without the Start/End context dance: a caller notes time.Now() once
+// and records the region afterwards (synthesis times its placement,
+// binding and scheduling stages this way; pdwd its requests).
 // The span parents under the span carried by ctx. No-op when disabled.
 func RecordSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...Attr) {
 	if !enabled.Load() {

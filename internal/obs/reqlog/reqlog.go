@@ -117,7 +117,7 @@ type Record struct {
 	// Phases is the solve's phase timeline (from solve.Stats).
 	Phases []Phase `json:"phases,omitempty"`
 	// Progress is the solve's final live-progress snapshot (nodes,
-	// pivots, incumbent/bound/gap), stamped by the service when the
+	// pruned, incumbent/bound/gap), stamped by the service when the
 	// solve returns — the terminal point of the trajectory
 	// /debug/solves showed while the request was in flight.
 	Progress *obs.SolveSnapshot `json:"progress,omitempty"`

@@ -11,9 +11,9 @@ import (
 )
 
 // SolveSnapshot is one point-in-time view of an in-flight solve: the
-// live counters internal/solve.Progress accumulates from the solver
-// hot loops (B&B nodes, simplex pivots, incumbent/bound trajectory)
-// plus the current pipeline phase and ILP model. It lives here rather
+// live counters internal/solve.Progress accumulates from the exact
+// searches (nodes, pruned subproblems, incumbent/bound trajectory)
+// plus the current pipeline phase and search model. It lives here rather
 // than in internal/solve so the solve registry below can serve it
 // without obs importing the solver stack (solve already imports obs).
 //
@@ -21,18 +21,17 @@ import (
 // absent JSON field rather than a NaN encoding/json refuses to write.
 type SolveSnapshot struct {
 	// Phase is the pipeline phase currently running ("wash-insertion",
-	// "window-milp", ...); Model the ILP currently being solved
+	// "window-milp", ...); Model the search currently running
 	// ("wash-path[3t r0]", "window-milp").
 	Phase string `json:"phase,omitempty"`
 	Model string `json:"model,omitempty"`
 	// Nodes/Pruned/Incumbents count branch & bound work across every
-	// ILP of the solve so far; Pivots counts simplex pivots.
+	// search of the solve so far.
 	Nodes      int64 `json:"nodes"`
 	Pruned     int64 `json:"pruned"`
 	Incumbents int64 `json:"incumbents"`
-	Pivots     int64 `json:"pivots"`
 	// BestObj is the best incumbent objective, Bound the best proven
-	// lower bound of the current ILP, Gap their relative distance.
+	// lower bound of the current search, Gap their relative distance.
 	BestObj *float64 `json:"best_obj,omitempty"`
 	Bound   *float64 `json:"bound,omitempty"`
 	Gap     *float64 `json:"gap,omitempty"`
@@ -92,10 +91,9 @@ type solveView struct {
 	Label string        `json:"label,omitempty"`
 	Age   time.Duration `json:"age_ns"`
 	SolveSnapshot
-	// NodesPerSec and PivotsPerSec are averaged over the solve's age on
-	// the listing/get endpoints and over the tick window on /watch.
-	NodesPerSec  float64 `json:"nodes_per_sec"`
-	PivotsPerSec float64 `json:"pivots_per_sec"`
+	// NodesPerSec is averaged over the solve's age on the listing/get
+	// endpoints and over the tick window on /watch.
+	NodesPerSec float64 `json:"nodes_per_sec"`
 }
 
 // viewOf renders one registered solve, with rates averaged over its
@@ -105,7 +103,6 @@ func viewOf(e *solveEntry) solveView {
 	v.Age = time.Since(e.start)
 	if secs := v.Age.Seconds(); secs > 0 {
 		v.NodesPerSec = float64(v.Nodes) / secs
-		v.PivotsPerSec = float64(v.Pivots) / secs
 	}
 	return v
 }
@@ -210,7 +207,6 @@ func handleSolveWatch(w http.ResponseWriter, r *http.Request) {
 			// average.
 			if secs := now.Sub(lastAt).Seconds(); secs > 0 {
 				v.NodesPerSec = float64(v.Nodes-last.Nodes) / secs
-				v.PivotsPerSec = float64(v.Pivots-last.Pivots) / secs
 			}
 		}
 		last, lastAt = v, now

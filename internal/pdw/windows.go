@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"pathdriverwash/internal/obs"
 	"pathdriverwash/internal/replan"
 	"pathdriverwash/internal/schedule"
 	"pathdriverwash/internal/solve"
@@ -16,14 +15,6 @@ import (
 // model is the same, and the wire schema, BENCH phase breakdowns,
 // /debug/solves and bench/pdwperf all key on it.
 const windowLabel = "window-milp"
-
-// Branch & bound totals shared with milp's searches, resolved once at
-// package load; a window search adds its counts once, at exit.
-var (
-	bbNodesTotal      = obs.Default().Counter("pdw_bb_nodes_total")
-	bbPrunedTotal     = obs.Default().Counter("pdw_bb_pruned_total")
-	bbIncumbentsTotal = obs.Default().Counter("pdw_bb_incumbents_total")
-)
 
 // optimizeWindows solves the time-window model of Eqs. (1)-(8),
 // (16)-(22) exactly: task starts with fixed durations, precedence arcs
@@ -129,19 +120,16 @@ func (m *windowModel) solve(ctx context.Context, onLeaf func(starts []int)) ([]i
 	if !s.loadArcs() {
 		// The fixed arcs close a cycle, which a valid greedy schedule
 		// rules out: keep the greedy starts, unproven.
-		s.stopped = true
+		s.Stopped = true
 	} else if s.bound >= s.inc {
-		s.prune()
+		s.Pruned++
 	} else {
-		s.prog.SetBound(float64(s.bound))
+		solve.ProgressFromContext(ctx).SetBound(float64(s.bound))
 		s.dfs()
 	}
-	if !s.stopped {
-		s.prog.SetBound(float64(s.inc))
+	if !s.Stopped {
+		solve.ProgressFromContext(ctx).SetBound(float64(s.inc))
 	}
-	bbNodesTotal.Add(int64(s.nodes))
-	bbPrunedTotal.Add(int64(s.pruned))
-	bbIncumbentsTotal.Add(int64(len(s.trajectory)))
 	return s.best, s.stat()
 }
 
@@ -162,16 +150,10 @@ type windowSearch struct {
 	queue  []int
 	queued []bool
 
-	cp         solve.Checkpoint
-	prog       *solve.Progress
-	start      time.Time
-	inc        int
-	best       []int
-	trajectory []solve.Incumbent
-	nodes      int
-	pruned     int
-	stopped    bool
-	onLeaf     func([]int)
+	solve.Tally
+	inc    int
+	best   []int
+	onLeaf func([]int)
 }
 
 // trailEntry undoes one change: an est or tail value, the bound, a
@@ -202,14 +184,11 @@ func newWindowSearch(ctx context.Context, m *windowModel) *windowSearch {
 		tail:   make([]int, n),
 		fixed:  make([]bool, len(m.free)),
 		queued: make([]bool, n),
-		cp:     solve.NewCheckpoint(ctx),
-		prog:   solve.ProgressFromContext(ctx),
-		start:  time.Now(),
+		Tally:  solve.NewTally(ctx, windowLabel),
 		best:   append([]int(nil), m.greedy...),
 		inc:    m.makespan(m.greedy),
 	}
-	s.prog.SetModel(windowLabel)
-	s.record()
+	s.Record(float64(s.inc))
 	return s
 }
 
@@ -288,21 +267,18 @@ func (s *windowSearch) loadArcs() bool {
 // dfs explores the subtree of the current node, whose bound is below
 // the incumbent.
 func (s *windowSearch) dfs() {
-	if s.cp.Check() != nil {
-		s.stopped = true
+	if !s.Node() {
 		return
 	}
-	s.nodes++
-	s.prog.AddNodes(1)
 	if !s.selectImmediate() {
-		s.prune()
+		s.Pruned++
 		return
 	}
 	p, forward := s.branchPair()
 	if p < 0 {
 		s.inc = s.bound
 		copy(s.best, s.est)
-		s.record()
+		s.Record(float64(s.inc))
 		if s.onLeaf != nil {
 			s.onLeaf(s.est)
 		}
@@ -313,10 +289,10 @@ func (s *windowSearch) dfs() {
 		if s.fix(p, dir) {
 			s.dfs()
 		} else {
-			s.prune()
+			s.Pruned++
 		}
 		s.undo(mark)
-		if s.stopped {
+		if s.Stopped {
 			return
 		}
 	}
@@ -478,39 +454,23 @@ func (s *windowSearch) undo(mark int) {
 	s.trail = s.trail[:mark]
 }
 
-func (s *windowSearch) prune() {
-	s.pruned++
-	s.prog.AddPruned(1)
-}
-
-// record appends the incumbent to the trajectory and publishes it.
-func (s *windowSearch) record() {
-	s.trajectory = append(s.trajectory, solve.Incumbent{
-		Obj: float64(s.inc), Node: s.nodes, Elapsed: time.Since(s.start),
-	})
-	s.prog.Incumbent(float64(s.inc))
-}
-
 // stat is the solve.Stats record of the search, sized as the MILP it
 // replaces: n starts plus the makespan, one binary per free pair, and
 // a row per arc, per active task and two per disjunction.
 func (s *windowSearch) stat() solve.MILPStat {
 	m := s.m
 	status := "optimal"
-	if s.stopped {
+	if s.Stopped {
 		status = "feasible(limit)"
 	}
-	rows := len(m.arcs) + 2*len(m.free)
+	st := s.Done(status)
+	st.Vars, st.IntVars, st.Constraints = len(m.dur)+1+len(m.free), len(m.free), len(m.arcs)+2*len(m.free)
 	for _, a := range m.active {
 		if a {
-			rows++
+			st.Constraints++
 		}
 	}
-	return solve.MILPStat{
-		Label: windowLabel, Vars: len(m.dur) + 1 + len(m.free), IntVars: len(m.free),
-		Constraints: rows, Nodes: s.nodes, Pruned: s.pruned,
-		Status: status, Optimal: !s.stopped, Wall: time.Since(s.start), Incumbents: s.trajectory,
-	}
+	return st
 }
 
 // CompressBase returns the wash-free reference that T_delay and

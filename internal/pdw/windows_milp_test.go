@@ -21,7 +21,7 @@ import (
 // and makespan minimization — and solved by milp's LP branch & bound,
 // warm-started from the greedy schedule. The big-M constant is the
 // greedy makespan, which is always a valid horizon.
-func optimizeWindowsMILP(ctx context.Context, plan *replan.Plan, greedy *schedule.Schedule, limit time.Duration, stats *solve.Stats) (*schedule.Schedule, bool, error) {
+func optimizeWindowsMILP(ctx context.Context, plan *replan.Plan, greedy *schedule.Schedule, limit time.Duration) (*schedule.Schedule, bool, error) {
 	n := len(plan.Tasks)
 	horizon := greedy.Makespan()
 	if horizon <= 0 {
@@ -107,7 +107,6 @@ func optimizeWindowsMILP(ctx context.Context, plan *replan.Plan, greedy *schedul
 	if err != nil {
 		return nil, false, err
 	}
-	stats.AddMILP(res.Stat(windowLabel, prob))
 	if res.Status == milp.Infeasible {
 		return nil, false, fmt.Errorf("pdw: window MILP %w", solve.ErrInfeasible)
 	}

@@ -90,7 +90,7 @@ func TestWindowsMatchMILPOnExactSmall(t *testing.T) {
 	for _, b := range exactSmallPool(t) {
 		c := windowCaseOf(t, b, exact)
 		got := solveWindows(t, c)
-		ref, optimal, err := pdw.OptimizeWindowsMILP(context.Background(), c.plan, c.greedy, time.Minute, nil)
+		ref, optimal, err := pdw.OptimizeWindowsMILP(context.Background(), c.plan, c.greedy, time.Minute)
 		if err != nil {
 			t.Fatalf("%s: window MILP: %v", c.name, err)
 		}

@@ -60,7 +60,7 @@ func TestCompressBaseMatchesWindowMILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		milpRef, optimal, err := optimizeWindowsMILP(context.Background(), plan, greedy, time.Minute, nil)
+		milpRef, optimal, err := optimizeWindowsMILP(context.Background(), plan, greedy, time.Minute)
 		if err != nil {
 			t.Fatalf("%s: window MILP: %v", names[i], err)
 		}

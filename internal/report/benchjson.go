@@ -8,9 +8,10 @@ import (
 )
 
 // BenchSchemaVersion is the current bench-file schema. Consumers should
-// reject files with a greater major version; additions within version 1
-// are strictly backward compatible (new optional fields only).
-const BenchSchemaVersion = 1
+// reject files with a greater major version; additions within a version
+// are strictly backward compatible (new optional fields only). Version 2
+// dropped the per-method simplex_pivots count: no search solves an LP.
+const BenchSchemaVersion = 2
 
 // BenchFile is the machine-readable result of a cmd/pdwbench sweep
 // (-json out.json, or BENCH_pdw.json from `make bench`). The schema is
@@ -65,7 +66,6 @@ type MethodResult struct {
 	WallSeconds     float64 `json:"wall_s"`
 	BBNodes         int     `json:"bb_nodes"`
 	BBPruned        int     `json:"bb_pruned"`
-	SimplexPivots   int     `json:"simplex_pivots"`
 	WindowsOptimal  bool    `json:"windows_optimal,omitempty"`
 	Canceled        bool    `json:"canceled,omitempty"`
 
@@ -157,8 +157,8 @@ func (m MethodResult) validate() error {
 		return fmt.Errorf("t_assay_s %d must be positive", m.TAssaySeconds)
 	case m.WallSeconds < 0:
 		return fmt.Errorf("wall_s %g is negative", m.WallSeconds)
-	case m.BBNodes < 0 || m.SimplexPivots < 0:
-		return fmt.Errorf("bb_nodes %d / simplex_pivots %d negative", m.BBNodes, m.SimplexPivots)
+	case m.BBNodes < 0:
+		return fmt.Errorf("bb_nodes %d is negative", m.BBNodes)
 	}
 	for i, s := range m.WallSamples {
 		if s < 0 {

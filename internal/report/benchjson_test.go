@@ -17,9 +17,9 @@ func validBenchFile() *BenchFile {
 		Benchmarks: []BenchResult{{
 			Name: "PCR", Ops: 7, Devices: 5, Tasks: 15,
 			DAWO: MethodResult{NWash: 11, LWashMM: 150, TDelaySeconds: 41, TAssaySeconds: 90,
-				WallSeconds: 0.2, BBNodes: 10, SimplexPivots: 100},
+				WallSeconds: 0.2, BBNodes: 10},
 			PDW: MethodResult{NWash: 7, LWashMM: 93, TDelaySeconds: 26, TAssaySeconds: 75,
-				WallSeconds: 1.5, BBNodes: 40, SimplexPivots: 900, WindowsOptimal: true},
+				WallSeconds: 1.5, BBNodes: 40, WindowsOptimal: true},
 		}},
 		Metrics: map[string]float64{"pdw_bb_nodes_total": 50},
 	}
@@ -50,7 +50,8 @@ func TestBenchFileValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"valid", func(f *BenchFile) {}, ""},
-		{"wrong schema version", func(f *BenchFile) { f.SchemaVersion = 2 }, "schema_version"},
+		{"wrong schema version", func(f *BenchFile) { f.SchemaVersion = BenchSchemaVersion + 1 }, "schema_version"},
+		{"version 1 file", func(f *BenchFile) { f.SchemaVersion = 1 }, "schema_version"},
 		{"bad timestamp", func(f *BenchFile) { f.GeneratedAt = "yesterday" }, "RFC 3339"},
 		{"empty timestamp", func(f *BenchFile) { f.GeneratedAt = "" }, "RFC 3339"},
 		{"date-only timestamp", func(f *BenchFile) { f.GeneratedAt = "2026-08-06" }, "RFC 3339"},

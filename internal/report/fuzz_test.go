@@ -22,15 +22,15 @@ func FuzzReadBenchJSON(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"schema_version":2,"generated_at":"2026-08-06T12:00:00Z","go_version":"go1.22.0"}`))
-	f.Add([]byte(`{"schema_version":1,"generated_at":"yesterday","go_version":"go1.22.0"}`))
-	f.Add([]byte(`{"schema_version":1,"generated_at":"2026-08-06T12:00:00Z","go_version":"go1.22.0",` +
+	f.Add([]byte(`{"schema_version":3,"generated_at":"2026-08-06T12:00:00Z","go_version":"go1.22.0"}`))
+	f.Add([]byte(`{"schema_version":2,"generated_at":"yesterday","go_version":"go1.22.0"}`))
+	f.Add([]byte(`{"schema_version":2,"generated_at":"2026-08-06T12:00:00Z","go_version":"go1.22.0",` +
 		`"benchmarks":[{"name":"PCR","ops":7,"devices":5,"tasks":15,` +
 		`"dawo":{"n_wash":-1,"t_assay_s":90},"pdw":{"n_wash":7,"t_assay_s":75}}]}`))
-	f.Add([]byte(`{"schema_version":1,"generated_at":"2026-08-06T12:00:00Z","go_version":"go1.22.0",` +
+	f.Add([]byte(`{"schema_version":2,"generated_at":"2026-08-06T12:00:00Z","go_version":"go1.22.0",` +
 		`"benchmarks":[{"name":"PCR","ops":7,"devices":5,"tasks":15,` +
 		`"dawo":{"n_wash":1,"t_assay_s":90,"wall_samples":[-0.5]},"pdw":{"n_wash":7,"t_assay_s":75}}]}`))
-	f.Add([]byte(`{"schema_version":1,"total_wall_seconds":-3}`))
+	f.Add([]byte(`{"schema_version":2,"total_wall_seconds":-3}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 

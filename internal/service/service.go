@@ -380,7 +380,7 @@ func (s *Server) shedSolve(ctx context.Context, req *SolveRequest) *outcome {
 // runSolve invokes the solver with a live progress view attached: for
 // the solve's duration it is listed on /debug/solves (keyed by the
 // request id when one is in flight, so an operator can go from a slow
-// request straight to its live nodes/pivots/gap), and the final
+// request straight to its live nodes/gap), and the final
 // snapshot is stamped onto the flight-recorder record when it closes.
 func (s *Server) runSolve(ctx context.Context, req *SolveRequest) (*pathdriver.Response, error) {
 	prog := solve.NewProgress()

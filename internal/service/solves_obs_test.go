@@ -37,7 +37,7 @@ func TestSolveVisibleOnDebugSolves(t *testing.T) {
 		}
 		prog.SetPhase("wash-path-ilp")
 		prog.AddNodes(1234)
-		prog.AddPivots(9999)
+		prog.AddPruned(9999)
 		<-release
 		return stubResponse(req.Method), nil
 	}
@@ -73,7 +73,7 @@ func TestSolveVisibleOnDebugSolves(t *testing.T) {
 	if view["kind"] != "request" || view["label"] != "pdw" {
 		t.Fatalf("solve view identity: %v", view)
 	}
-	if view["phase"] != "wash-path-ilp" || view["pivots"].(float64) != 9999 {
+	if view["phase"] != "wash-path-ilp" || view["pruned"].(float64) != 9999 {
 		t.Fatalf("solve view counters: %v", view)
 	}
 	if view["nodes_per_sec"].(float64) <= 0 {
@@ -101,7 +101,7 @@ func TestSolveVisibleOnDebugSolves(t *testing.T) {
 	if !ok {
 		t.Fatal("request not in flight recorder")
 	}
-	if record.Progress == nil || record.Progress.Nodes != 1234 || record.Progress.Pivots != 9999 {
+	if record.Progress == nil || record.Progress.Nodes != 1234 || record.Progress.Pruned != 9999 {
 		t.Fatalf("record progress: %+v", record.Progress)
 	}
 }

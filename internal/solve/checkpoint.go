@@ -8,8 +8,8 @@ import (
 )
 
 // CheckpointStride is the default cancellation-poll cadence: one
-// ctx.Err() poll per 64 iterations, the same amortization internal/lp
-// uses for its pivot loop. At typical hot-loop iteration costs (a BFS
+// ctx.Err() poll per 64 iterations, and the nodes between a Tally's
+// Progress publications. At typical hot-loop iteration costs (a BFS
 // probe, a contamination event comparison, a pairwise swap) this keeps
 // the poll overhead unmeasurable while bounding the distance between
 // deadline expiry and loop exit to well under a millisecond.
@@ -40,10 +40,9 @@ func NewCheckpoint(ctx context.Context) Checkpoint {
 }
 
 // NewCheckpointStride returns a checkpoint polling ctx.Err() once per
-// stride Check calls. The very first Check polls immediately (as lp's
-// pivot loop does at iteration zero), so an already-done context is
-// observed before any loop work. Strides below 1 are raised to 1
-// (poll on every Check).
+// stride Check calls. The very first Check polls immediately, so an
+// already-done context is observed before any loop work. Strides below
+// 1 are raised to 1 (poll on every Check).
 func NewCheckpointStride(ctx context.Context, stride int) Checkpoint {
 	if stride < 1 {
 		stride = 1

@@ -10,21 +10,20 @@ import (
 )
 
 // Progress is the race-safe live view of an in-flight solve: the
-// counters the solver hot loops publish (B&B nodes, pruned
-// subproblems, incumbents, simplex pivots) plus the current phase,
-// ILP model, and incumbent/bound trajectory. Where Stats is the
-// post-hoc record read after a solve returns, Progress is readable
-// WHILE the solve runs — the /debug/solves registry (internal/obs)
-// snapshots it concurrently with the hot loops.
+// counters the exact searches publish (search nodes, pruned
+// subproblems, incumbents) plus the current phase, search model, and
+// incumbent/bound trajectory. Where Stats is the post-hoc record read
+// after a solve returns, Progress is readable WHILE the solve runs —
+// the /debug/solves registry (internal/obs) snapshots it concurrently
+// with the searches.
 //
 // Every field is an atomic and every method is nil-safe, so
 // publication sites cost one nil check when no progress view is
-// attached and one uncontended atomic op when one is. The hot loops
-// only call the counter methods at their existing amortized cadences
-// (lp's 64-pivot flush, milp's per-node bookkeeping where each node
-// already costs an LP solve), keeping the instrumented path
+// attached and one uncontended atomic op when one is. The searches
+// publish their counts through a Tally, once per CheckpointStride
+// nodes and once at exit, keeping the instrumented path
 // allocation-free; see DESIGN.md "Progress snapshot cost contract"
-// and BenchmarkProgressOverhead in internal/lp.
+// and BenchmarkProgressOverhead in internal/washpath.
 type Progress struct {
 	start time.Time
 
@@ -34,7 +33,6 @@ type Progress struct {
 	nodes      atomic.Int64
 	pruned     atomic.Int64
 	incumbents atomic.Int64
-	pivots     atomic.Int64
 
 	// bestObj and bound hold math.Float64bits values; the has* flags
 	// distinguish "never published" from a published zero.
@@ -70,7 +68,7 @@ func (p *Progress) SetModel(label string) {
 	p.model.Store(&label)
 }
 
-// AddNodes counts explored branch & bound nodes.
+// AddNodes counts explored search nodes.
 func (p *Progress) AddNodes(n int64) {
 	if p == nil {
 		return
@@ -86,15 +84,6 @@ func (p *Progress) AddPruned(n int64) {
 	p.pruned.Add(n)
 }
 
-// AddPivots counts simplex pivots; lp's pivot loop calls it at its
-// 64-pivot flush cadence, never per pivot.
-func (p *Progress) AddPivots(n int64) {
-	if p == nil {
-		return
-	}
-	p.pivots.Add(n)
-}
-
 // Incumbent publishes a new best feasible objective.
 func (p *Progress) Incumbent(obj float64) {
 	if p == nil {
@@ -107,7 +96,7 @@ func (p *Progress) Incumbent(obj float64) {
 	}
 }
 
-// SetBound publishes the best proven lower bound of the running ILP.
+// SetBound publishes the best proven lower bound of the running search.
 // Non-finite bounds (the root node's -inf) are ignored so the snapshot
 // stays JSON-encodable.
 func (p *Progress) SetBound(b float64) {
@@ -142,7 +131,6 @@ func (p *Progress) Snapshot() obs.SolveSnapshot {
 		Nodes:      p.nodes.Load(),
 		Pruned:     p.pruned.Load(),
 		Incumbents: p.incumbents.Load(),
-		Pivots:     p.pivots.Load(),
 		Canceled:   p.canceled.Load(),
 		Elapsed:    time.Since(p.start),
 	}
@@ -177,9 +165,9 @@ func (p *Progress) Snapshot() obs.SolveSnapshot {
 // progressKey carries a *Progress in a context.
 type progressKey struct{}
 
-// WithProgress returns a context carrying p; the solver layers beneath
-// (lp's pivot loop, milp's node loop, washpath's cut rounds) resolve
-// it once per solve via ProgressFromContext and publish into it.
+// WithProgress returns a context carrying p; the searches beneath
+// (washpath's path search, pdw's window search) resolve it once per
+// search via NewTally and publish into it.
 func WithProgress(ctx context.Context, p *Progress) context.Context {
 	if p == nil {
 		return ctx

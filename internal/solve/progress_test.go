@@ -14,7 +14,6 @@ func TestProgressNilSafe(t *testing.T) {
 	p.SetModel("y")
 	p.AddNodes(1)
 	p.AddPruned(1)
-	p.AddPivots(1)
 	p.Incumbent(1)
 	p.SetBound(1)
 	p.MarkCanceled()
@@ -30,7 +29,6 @@ func TestProgressSnapshot(t *testing.T) {
 	p.SetModel("wash-path[3t r0]")
 	p.AddNodes(10)
 	p.AddPruned(4)
-	p.AddPivots(128)
 	p.Incumbent(20)
 	p.SetBound(15)
 
@@ -38,7 +36,7 @@ func TestProgressSnapshot(t *testing.T) {
 	if s.Phase != "wash-path-ilp" || s.Model != "wash-path[3t r0]" {
 		t.Fatalf("phase/model = %q/%q", s.Phase, s.Model)
 	}
-	if s.Nodes != 10 || s.Pruned != 4 || s.Pivots != 128 || s.Incumbents != 1 {
+	if s.Nodes != 10 || s.Pruned != 4 || s.Incumbents != 1 {
 		t.Fatalf("counters = %+v", s)
 	}
 	if s.BestObj == nil || *s.BestObj != 20 {
@@ -113,7 +111,7 @@ func TestProgressConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				p.AddNodes(1)
-				p.AddPivots(2)
+				p.AddPruned(2)
 				if j%100 == 0 {
 					p.Incumbent(float64(1000 - j))
 					p.SetBound(float64(j))
@@ -124,7 +122,7 @@ func TestProgressConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	s := p.Snapshot()
-	if s.Nodes != 8000 || s.Pivots != 16000 || s.Incumbents != 80 {
+	if s.Nodes != 8000 || s.Pruned != 16000 || s.Incumbents != 80 {
 		t.Fatalf("counters after concurrent publish: %+v", s)
 	}
 }

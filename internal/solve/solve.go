@@ -1,14 +1,14 @@
 // Package solve holds the shared vocabulary of the solver pipeline: the
 // Budget that bounds a run, the sentinel errors every layer reports
-// through errors.Is, and the Stats trace that records what the solvers
-// actually did (phase wall times, branch & bound work, simplex pivots,
-// incumbent trajectory, wash-path ILP sizes, and the Type 1/2/3
-// wash-elimination counts of Sec. II-A).
+// through errors.Is, the Stats trace that records what the solvers
+// actually did (phase wall times, search nodes, incumbent trajectory,
+// wash-path model sizes, and the Type 1/2/3 wash-elimination counts of
+// Sec. II-A), and the Tally through which the exact searches count.
 //
 // The package is a leaf: it imports only the standard library and the
-// internal/obs observability leaf, so every solver layer (lp, milp,
-// washpath, pdw, dawo, synth, harness) and the public pkg/pathdriver
-// surface can depend on it without cycles.
+// internal/obs observability leaf, so every solver layer (washpath,
+// pdw, dawo, synth, harness, and the lp and milp test oracles) and the
+// public pkg/pathdriver surface can depend on it without cycles.
 package solve
 
 import (

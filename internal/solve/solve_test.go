@@ -64,7 +64,7 @@ func TestStatsNilSafe(t *testing.T) {
 	s.AddMILP(MILPStat{})
 	s.SetSkips(map[string]int{"x": 1})
 	s.MarkCanceled()
-	if s.Nodes() != 0 || s.Pruned() != 0 || s.SimplexIters() != 0 {
+	if s.Nodes() != 0 || s.Pruned() != 0 {
 		t.Error("nil Stats must report zero work")
 	}
 	if s.Summary() == "" {
@@ -76,14 +76,14 @@ func TestStatsAggregationAndSummary(t *testing.T) {
 	s := &Stats{}
 	end := s.StartPhase("wash-insertion")
 	end()
-	s.AddMILP(MILPStat{Label: "wash-path[1t r0]", Nodes: 3, Pruned: 1, SimplexIters: 40,
+	s.AddMILP(MILPStat{Label: "wash-path[1t r0]", Nodes: 3, Pruned: 1,
 		Status: "optimal", Optimal: true,
 		Incumbents: []Incumbent{{Obj: 7, Node: 2, Elapsed: time.Millisecond}}})
-	s.AddMILP(MILPStat{Label: "window-milp", Nodes: 5, Pruned: 2, SimplexIters: 60, Status: "feasible(limit)"})
+	s.AddMILP(MILPStat{Label: "window-milp", Nodes: 5, Pruned: 2, Status: "feasible(limit)"})
 	s.SetSkips(map[string]int{"type1-unused": 2, "wash-needed": 1})
 	s.MarkCanceled()
-	if s.Nodes() != 8 || s.Pruned() != 3 || s.SimplexIters() != 100 {
-		t.Fatalf("aggregates = %d/%d/%d", s.Nodes(), s.Pruned(), s.SimplexIters())
+	if s.Nodes() != 8 || s.Pruned() != 3 {
+		t.Fatalf("aggregates = %d/%d", s.Nodes(), s.Pruned())
 	}
 	sum := s.Summary()
 	for _, want := range []string{

@@ -19,20 +19,21 @@ type Incumbent struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
-// MILPStat describes one ILP/MILP solve: its size, the branch & bound
-// work it did, and how it ended.
+// MILPStat describes one exact search: the size of the ILP it solves,
+// the branch & bound work it did, and how it ended.
 type MILPStat struct {
-	// Label identifies the solve ("wash-path w3", "window-milp", ...).
+	// Label identifies the search ("wash-path[3t r0]", "window-milp").
 	Label string `json:"label"`
 	// Vars / IntVars / Constraints give the model size.
 	Vars        int `json:"vars"`
 	IntVars     int `json:"int_vars"`
 	Constraints int `json:"constraints"`
-	// Nodes and Pruned count branch & bound subproblems explored and
-	// discarded by bound; SimplexIters sums LP pivots across all node
-	// relaxations.
-	Nodes        int `json:"nodes"`
-	Pruned       int `json:"pruned"`
+	// Nodes and Pruned count search nodes explored and subproblems
+	// discarded by bound.
+	Nodes  int `json:"nodes"`
+	Pruned int `json:"pruned"`
+	// SimplexIters is always 0: no search solves an LP. It stays on the
+	// pdw.v1 wire, which bench/pdwperf reads.
 	SimplexIters int `json:"simplex_iters"`
 	// Status is the solver's final status string.
 	Status string `json:"status"`
@@ -231,20 +232,6 @@ func (s *Stats) Pruned() int {
 	return n
 }
 
-// SimplexIters sums simplex pivots over all ILP solves.
-func (s *Stats) SimplexIters() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, m := range s.MILPs {
-		n += m.SimplexIters
-	}
-	return n
-}
-
 // Summary renders the trace as an indented human-readable block, the
 // format cmd/pdw -stats and cmd/pdwbench print.
 func (s *Stats) Summary() string {
@@ -269,14 +256,13 @@ func (s *Stats) Summary() string {
 		}
 		b.WriteByte('\n')
 	}
-	nodes, pruned, iters := 0, 0, 0
+	nodes, pruned := 0, 0
 	for _, m := range s.MILPs {
 		nodes += m.Nodes
 		pruned += m.Pruned
-		iters += m.SimplexIters
 	}
-	fmt.Fprintf(&b, "  ILP solves: %d (B&B nodes %d explored / %d pruned, %d simplex pivots)\n",
-		len(s.MILPs), nodes, pruned, iters)
+	fmt.Fprintf(&b, "  ILP solves: %d (B&B nodes %d explored / %d pruned)\n",
+		len(s.MILPs), nodes, pruned)
 	for _, m := range s.MILPs {
 		fmt.Fprintf(&b, "    %-18s %4dv/%3di/%4dc  nodes %5d  %-15s %7.1fms",
 			m.Label, m.Vars, m.IntVars, m.Constraints, m.Nodes, m.Status, m.Wall.Seconds()*1e3)

@@ -15,14 +15,10 @@ import (
 // Telemetry handles, resolved once at package load. The span, the
 // pdw_washpath_* counters and the "wash-path[<N>t r0]" label keep the
 // names of the ILP the search replaced; the search has no cut rounds,
-// so that counter stays at zero. The branch & bound totals are shared
-// with pdw's window search, and a search adds its counts once, at exit.
+// so that counter stays at zero.
 var (
-	buildsTotal       = obs.Default().Counter("pdw_washpath_ilps_total")
-	_                 = obs.Default().Counter("pdw_washpath_cut_rounds_total")
-	bbNodesTotal      = obs.Default().Counter("pdw_bb_nodes_total")
-	bbPrunedTotal     = obs.Default().Counter("pdw_bb_pruned_total")
-	bbIncumbentsTotal = obs.Default().Counter("pdw_bb_incumbents_total")
+	buildsTotal = obs.Default().Counter("pdw_washpath_ilps_total")
+	_           = obs.Default().Counter("pdw_washpath_cut_rounds_total")
 )
 
 // searchPath finds the shortest Eqs. 12-15 path over the targets that
@@ -39,23 +35,18 @@ func searchPath(ctx context.Context, chip *grid.Chip, targets []geom.Point, opts
 	ctx, cancel := context.WithTimeout(ctx, limit)
 	defer cancel()
 	ctx, span := obs.Start(ctx, "washpath.ilp", obs.A("targets", len(targets)))
-	label := fmt.Sprintf("wash-path[%dt r0]", len(targets))
-	s := &pathSearch{
-		cp: solve.NewCheckpoint(ctx), prog: solve.ProgressFromContext(ctx),
-		start: time.Now(), inc: inf,
-	}
-	s.prog.SetModel(label)
+	s := &pathSearch{Tally: solve.NewTally(ctx, fmt.Sprintf("wash-path[%dt r0]", len(targets))), inc: inf}
 
 	// A cap that expired before the search leaves the heuristic
 	// unproven; a model the static checks reject has no path at all.
 	var m *pathModel
 	feasible := false
-	if s.cp.Err() != nil {
-		s.stopped = true
+	if ctx.Err() != nil {
+		s.Stopped = true
 	} else if m, feasible = newPathModel(chip, targets); feasible {
 		if heur != nil {
 			s.inc = heur.Path.Len()
-			s.record()
+			s.Record(float64(s.inc))
 		}
 		s.run(m)
 	}
@@ -63,28 +54,22 @@ func searchPath(ctx context.Context, chip *grid.Chip, targets []geom.Point, opts
 	have := s.best != nil || heur != nil
 	status := "infeasible"
 	switch {
-	case s.stopped && have:
+	case s.Stopped && have:
 		status = "feasible(limit)"
-	case s.stopped:
+	case s.Stopped:
 		status = "limit"
 	case have && feasible:
 		status = "optimal"
 	}
-	stat := solve.MILPStat{
-		Label: label, Nodes: s.nodes, Pruned: s.pruned, Status: status,
-		Optimal: status == "optimal", Wall: time.Since(s.start), Incumbents: s.trajectory,
-	}
+	stat := s.Done(status)
 	if m != nil {
 		stat.Vars, stat.IntVars, stat.Constraints = m.vars, m.vars, m.rows
 	}
 	opts.Trace.AddMILP(stat)
 	buildsTotal.Inc()
-	bbNodesTotal.Add(int64(s.nodes))
-	bbPrunedTotal.Add(int64(s.pruned))
-	bbIncumbentsTotal.Add(int64(len(s.trajectory)))
 	defer func() {
 		if span != nil {
-			span.SetAttr("nodes", s.nodes)
+			span.SetAttr("nodes", s.Nodes)
 			span.SetAttr("status", status)
 			span.SetAttr("ok", err == nil)
 			span.End()
@@ -96,7 +81,7 @@ func searchPath(ctx context.Context, chip *grid.Chip, targets []geom.Point, opts
 		plan = Plan{
 			Path:     grid.NewPath(s.best...),
 			FlowPort: chip.PortAt(s.best[0]), WastePort: chip.PortAt(s.best[len(s.best)-1]),
-			Exact: true, Optimal: !s.stopped,
+			Exact: true, Optimal: !s.Stopped,
 		}
 		if err := plan.Path.ValidateComplete(chip); err != nil {
 			return Plan{}, fmt.Errorf("washpath: search produced invalid path: %w", err)
@@ -107,9 +92,9 @@ func searchPath(ctx context.Context, chip *grid.Chip, targets []geom.Point, opts
 		return plan, nil
 	case heur != nil:
 		plan = *heur
-		plan.Exact, plan.Optimal = !s.stopped, !s.stopped
+		plan.Exact, plan.Optimal = !s.Stopped, !s.Stopped
 		return plan, nil
-	case s.stopped:
+	case s.Stopped:
 		return Plan{}, fmt.Errorf("washpath: search stopped without a path: %w", solve.ErrBudgetExceeded)
 	}
 	return Plan{}, fmt.Errorf("washpath: no Eqs. 12-15 path: %w", solve.ErrInfeasible)
@@ -462,15 +447,9 @@ type pathSearch struct {
 	left    int // targets not yet placed
 	open    int // segments not yet entered
 
-	cp         solve.Checkpoint
-	prog       *solve.Progress
-	start      time.Time
-	inc        int          // the incumbent's length; only shorter paths count
-	best       []geom.Point // the shortest path found, ports included
-	trajectory []solve.Incumbent
-	nodes      int
-	pruned     int
-	stopped    bool
+	solve.Tally
+	inc  int          // the incumbent's length; only shorter paths count
+	best []geom.Point // the shortest path found, ports included
 }
 
 // run searches from every flow port in chip order.
@@ -490,13 +469,13 @@ func (s *pathSearch) run(m *pathModel) {
 	for _, fp := range m.flows {
 		lb := 1 + s.rest(fp)
 		if lb >= s.inc {
-			s.prune()
+			s.Pruned++
 			continue
 		}
 		s.place(fp)
 		s.dfs(fp)
 		s.unplace(fp)
-		if s.stopped {
+		if s.Stopped {
 			return
 		}
 	}
@@ -601,12 +580,9 @@ func (s *pathSearch) unplace(i int32) {
 // node it touches, and a target next to the end must come next. Free
 // cells are tried lowest bound first, ties in N, E, S, W order.
 func (s *pathSearch) dfs(e int32) {
-	if s.cp.Check() != nil {
-		s.stopped = true
+	if !s.Node() {
 		return
 	}
-	s.nodes++
-	s.prog.AddNodes(1)
 	m := s.m
 	n := len(s.path) // nodes placed
 	if s.left == 0 {
@@ -632,14 +608,14 @@ func (s *pathSearch) dfs(e int32) {
 		seg := m.segs[sg]
 		entering := s.segLeft[sg] == len(seg)
 		if targets > 1 || s.touch[forced] != 1 || entering && forced != seg[0] && forced != seg[len(seg)-1] {
-			s.prune()
+			s.Pruned++
 			return
 		}
 		s.place(forced)
 		if n+1+s.lower(forced) < s.inc {
 			s.dfs(forced)
 		} else {
-			s.prune()
+			s.Pruned++
 		}
 		s.unplace(forced)
 		return
@@ -654,7 +630,7 @@ func (s *pathSearch) dfs(e int32) {
 		}
 		b := n + 1 + s.rest(q)
 		if b >= s.inc {
-			s.prune()
+			s.Pruned++
 			continue
 		}
 		j := k
@@ -666,13 +642,13 @@ func (s *pathSearch) dfs(e int32) {
 	}
 	for j := range k {
 		if bounds[j] >= s.inc {
-			s.prune()
+			s.Pruned++
 			continue
 		}
 		s.place(kids[j])
 		s.dfs(kids[j])
 		s.unplace(kids[j])
-		if s.stopped {
+		if s.Stopped {
 			return
 		}
 	}
@@ -690,18 +666,5 @@ func (s *pathSearch) found(wp int32) {
 		s.best = append(s.best, s.m.point(i))
 	}
 	s.best = append(s.best, s.m.point(wp))
-	s.record()
-}
-
-func (s *pathSearch) prune() {
-	s.pruned++
-	s.prog.AddPruned(1)
-}
-
-// record appends the incumbent to the trajectory and publishes it.
-func (s *pathSearch) record() {
-	s.trajectory = append(s.trajectory, solve.Incumbent{
-		Obj: float64(s.inc), Node: s.nodes, Elapsed: time.Since(s.start),
-	})
-	s.prog.Incumbent(float64(s.inc))
+	s.Record(float64(s.inc))
 }

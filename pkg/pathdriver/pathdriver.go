@@ -51,10 +51,11 @@ type (
 	Budget = solve.Budget
 	// SolveStats is the structured telemetry attached to PDWResult and
 	// DAWOResult: per-phase wall times, branch-and-bound node and pruning
-	// counts, simplex iterations, the incumbent trajectory, wash-path
-	// model sizes, and Type 1/2/3 skip counts.
+	// counts, the incumbent trajectory, wash-path model sizes, and
+	// Type 1/2/3 skip counts.
 	SolveStats = solve.Stats
-	// MILPStat describes one MILP solved during optimization.
+	// MILPStat describes one exact search run during optimization, sized
+	// as the ILP it solves.
 	MILPStat = solve.MILPStat
 )
 

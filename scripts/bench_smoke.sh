@@ -51,13 +51,13 @@ go run ./cmd/pdwbench -quick -baseline "$out" -json "$out2" -wall-threshold 9 >/
 echo "==> go test -bench BenchmarkFlightRecorderOverhead ./internal/service"
 go test -run '^$' -bench BenchmarkFlightRecorderOverhead -benchtime 1000x ./internal/service
 
-# Live-progress cost check: the simplex pivot loop bare vs. with a
-# progress view attached (DESIGN.md "Progress snapshot cost contract":
-# within 2%; the publisher only runs at the existing 64-pivot flush
-# cadence, so the two variants should be statistically
-# indistinguishable).
-echo "==> go test -bench BenchmarkProgressOverhead ./internal/lp"
-go test -run '^$' -bench BenchmarkProgressOverhead -benchtime 1000x ./internal/lp
+# Live-progress cost check: the wash-path search bare vs. with a
+# progress view attached, on one fixed build of about 312k nodes
+# (DESIGN.md "Progress snapshot cost contract": within 2%; the search
+# publishes once per 64 nodes, so the two variants should be
+# statistically indistinguishable).
+echo "==> go test -bench BenchmarkProgressOverhead ./internal/washpath"
+go test -run '^$' -bench BenchmarkProgressOverhead -benchtime 40x ./internal/washpath
 
 # Sharded-corpus smoke: the same seeded corpus swept unsharded and as
 # two merged shards must produce quality-identical artifacts. Wall

@@ -3,7 +3,8 @@
 # `make check`. Runs the tier-1 build, formatting and static checks,
 # the fast test suite, and the race-detector pass over the
 # concurrency-bearing packages (the harness worker pool, the
-# context-cancellable MILP search, the observability layer, the
+# context-cancellable MILP oracle, the observability layer, the
+# searches' live Progress publication read by /debug/solves, the
 # bench-diff report helpers read concurrently by tooling, the
 # corpus generator whose sweeps are sharded across processes, the
 # synthesis layer whose checkpointed scheduler aborts race deadline
@@ -28,8 +29,9 @@ echo "==> go build ./..."
 go build ./...
 
 # One telemetry path: metrics are always counted, so nothing outside
-# the obs package may branch on its span flag, and the simplex core
-# publishes only to solve.Progress.
+# the obs package may branch on its span flag; the lp and milp test
+# oracles carry no telemetry at all; and the branch & bound totals are
+# fed only by solve.Tally, which every exact search counts through.
 echo "==> telemetry and structure gates"
 gated=$(grep -rln --include='*.go' --exclude='*_test.go' 'obs\.Enabled()' cmd internal pkg examples bench |
     grep -v '^internal/obs/' || true)
@@ -38,8 +40,17 @@ if [ -n "$gated" ]; then
     echo "$gated" >&2
     exit 1
 fi
-if go list -f '{{.Imports}}' ./internal/lp | grep -q 'pathdriverwash/internal/obs'; then
-    echo "internal/lp must not import internal/obs" >&2
+for oracle in lp milp; do
+    if go list -f '{{.Imports}}' "./internal/$oracle" | grep -q 'pathdriverwash/internal/obs'; then
+        echo "internal/$oracle is a test oracle and must not import internal/obs" >&2
+        exit 1
+    fi
+done
+bb=$(grep -rl --include='*.go' --exclude='*_test.go' 'pdw_bb_' cmd internal pkg examples bench |
+    grep -v '^internal/solve/' || true)
+if [ -n "$bb" ]; then
+    echo "only internal/solve (solve.Tally) names the pdw_bb_* series; named in:" >&2
+    echo "$bb" >&2
     exit 1
 fi
 # No production path solves an LP: the time windows and the wash paths
@@ -71,8 +82,8 @@ go vet ./...
 echo "==> go test -short ./..."
 go test -short ./...
 
-echo "==> go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service"
-go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service
+echo "==> go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service ./internal/solve"
+go test -race -short ./internal/harness ./internal/milp ./internal/obs ./internal/obs/prof ./internal/obs/reqlog ./internal/report ./internal/corpus ./internal/synth ./internal/service ./internal/solve
 
 # The benchmark harness is its own module (bench/go.mod), so the root
 # `go test ./...` skips it even though it builds on solve.Stats and obs.
