@@ -1,15 +1,16 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
 
 // FuzzSolve decodes arbitrary bytes into a small LP and checks the
-// solver's contract: no panic, and any Optimal result actually
-// satisfies every constraint and bound. Run with `go test -fuzz
-// FuzzSolve ./internal/lp` for continuous fuzzing; the seed corpus runs
-// in normal test mode.
+// solver's contract: no panic, no optimum that fails lp's own check,
+// and any Optimal result actually satisfies every constraint and bound.
+// Run with `go test -fuzz FuzzSolve ./internal/lp` for continuous
+// fuzzing; the seed corpus runs in normal test mode.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{1, 1, 255, 0, 0})
@@ -45,8 +46,12 @@ func FuzzSolve(f *testing.F) {
 			p.AddConstraint(coefs, rel, next()*4, "fz")
 		}
 		res, err := Solve(p)
+		if errors.Is(err, ErrOptimumCheck) {
+			t.Fatalf("optimum off the problem: %v", err)
+		}
 		if err != nil {
-			// Structured errors are fine; panics are the bug class.
+			// Other structured errors are fine; panics and off-problem
+			// optima are the bug class.
 			return
 		}
 		if res.Status != Optimal {

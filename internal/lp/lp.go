@@ -162,6 +162,12 @@ type Result struct {
 // which indicates a bug or a numerically hostile model.
 var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
 
+// ErrOptimumCheck is returned, wrapped with the row or bound it breaks,
+// when simplex ends at an optimum that fails CheckFeasible on the
+// problem as stated: rounding or a coefficient below the pivot
+// tolerance has carried the tableau off the problem.
+var ErrOptimumCheck = errors.New("lp: optimal point fails its check")
+
 // maxPivot is the pivot budget of one solve.
 const maxPivot = 200000
 
@@ -241,7 +247,7 @@ func SolveContext(ctx context.Context, p *Problem) (Result, error) {
 	}
 	res.X, res.Obj = x, obj
 	if err := p.CheckFeasible(x); err != nil {
-		return res, fmt.Errorf("lp: optimal point fails its check: %w", err)
+		return res, fmt.Errorf("%w: %w", ErrOptimumCheck, err)
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -64,6 +65,21 @@ func TestCheckFeasible(t *testing.T) {
 	}
 	if p.CheckFeasible([]float64{2, 0, 2}) == nil {
 		t.Error("a point of the wrong length passed")
+	}
+}
+
+// TestSolveRejectsOffProblemOptimum pins that Solve runs the check on
+// its own optimum. The row's coefficient is below the pivot tolerance,
+// so the ratio test never lets that row block x0: simplex stops at x0's
+// upper bound 1e11, where the row reads 10 <= 1.
+func TestSolveRejectsOffProblemOptimum(t *testing.T) {
+	p := NewProblem(1)
+	p.Objective[0] = -1
+	p.SetBounds(0, 0, 1e11)
+	p.AddConstraint(map[int]float64{0: 1e-10}, LE, 1, "tiny")
+	_, err := Solve(p)
+	if !errors.Is(err, ErrOptimumCheck) || !strings.Contains(err.Error(), `"tiny"`) {
+		t.Fatalf("err = %v, want ErrOptimumCheck naming the row", err)
 	}
 }
 

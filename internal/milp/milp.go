@@ -176,7 +176,9 @@ func Solve(p *Problem, opts Options) (Result, error) {
 // DefaultTimeLimit). Cancellation and deadline expiry are never errors:
 // the search stops promptly — mid-relaxation included — and returns the
 // best feasible incumbent (Status Feasible), or Status Limit when none
-// was found yet.
+// was found yet. A node relaxation that fails lp's check
+// (lp.ErrOptimumCheck) fails the solve: its bound can neither prune nor
+// branch soundly.
 func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error) {
 	start := time.Now()
 	if len(p.Integer) != p.LP.NumVars {

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -383,5 +384,21 @@ func TestRoundedIncumbentChecked(t *testing.T) {
 	}
 	if r.Status == Optimal {
 		t.Fatalf("claims optimality after discarding a subproblem: obj %g, x %v", r.Obj, r.X)
+	}
+}
+
+// TestOffProblemRelaxationFails pins what milp does with a relaxation
+// that fails lp's check: the solve fails with lp.ErrOptimumCheck rather
+// than prune or branch on a bound it cannot trust. The row's coefficient
+// is below lp's pivot tolerance, so the root relaxation stops at x's
+// upper bound, off the row.
+func TestOffProblemRelaxationFails(t *testing.T) {
+	p := NewProblem(0)
+	x := p.AddContinuous(0, 1e11)
+	p.Integer[x] = true
+	p.SetObjective(x, -1)
+	p.LP.AddConstraint(map[int]float64{x: 1e-10}, lp.LE, 1, "tiny")
+	if _, err := Solve(p, Options{TimeLimit: 5 * time.Second}); !errors.Is(err, lp.ErrOptimumCheck) {
+		t.Fatalf("err = %v, want lp.ErrOptimumCheck", err)
 	}
 }

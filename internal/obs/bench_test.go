@@ -6,10 +6,10 @@ import (
 )
 
 // The disabled path is the cost every span site pays by default;
-// DESIGN.md's cost contract requires it to stay negligible. The solver
+// DESIGN.md's cost contract requires it to stay negligible. The search
 // hot loops themselves read no obs state (they publish to
-// solve.Progress, pinned by the lp package's BenchmarkProgressOverhead).
-// These benchmarks pin the primitive costs.
+// solve.Progress, pinned by the washpath package's
+// BenchmarkProgressOverhead). These benchmarks pin the primitive costs.
 
 func BenchmarkDisabledStartEnd(b *testing.B) {
 	Disable()

@@ -124,11 +124,11 @@ func (m *windowModel) solve(ctx context.Context, onLeaf func(starts []int)) ([]i
 	} else if s.bound >= s.inc {
 		s.Pruned++
 	} else {
-		solve.ProgressFromContext(ctx).SetBound(float64(s.bound))
+		s.SetBound(float64(s.bound))
 		s.dfs()
 	}
 	if !s.Stopped {
-		solve.ProgressFromContext(ctx).SetBound(float64(s.inc))
+		s.SetBound(float64(s.inc))
 	}
 	return s.best, s.stat()
 }

@@ -59,6 +59,9 @@ func (t *Tally) Record(obj float64) {
 	t.prog.Incumbent(obj)
 }
 
+// SetBound publishes the search's best proven bound.
+func (t *Tally) SetBound(b float64) { t.prog.SetBound(b) }
+
 func (t *Tally) publish() {
 	t.prog.AddNodes(int64(t.Nodes - t.sent))
 	t.prog.AddPruned(int64(t.Pruned - t.sentP))
