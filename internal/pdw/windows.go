@@ -127,10 +127,22 @@ func (m *windowModel) solve(ctx context.Context, onLeaf func(starts []int)) ([]i
 		s.SetBound(float64(s.bound))
 		s.dfs()
 	}
+	status := "feasible(limit)"
 	if !s.Stopped {
+		status = "optimal"
 		s.SetBound(float64(s.inc))
 	}
-	return s.best, s.stat()
+	// The record is sized as the MILP the search replaces: n starts
+	// plus the makespan, one binary per free pair, and a row per arc,
+	// per active task and two per disjunction.
+	st := s.Done(status)
+	st.Vars, st.IntVars, st.Constraints = len(m.dur)+1+len(m.free), len(m.free), len(m.arcs)+2*len(m.free)
+	for _, a := range m.active {
+		if a {
+			st.Constraints++
+		}
+	}
+	return s.best, st
 }
 
 // windowSearch is the state of one search: the arcs of the current
@@ -452,25 +464,6 @@ func (s *windowSearch) undo(mark int) {
 		}
 	}
 	s.trail = s.trail[:mark]
-}
-
-// stat is the solve.Stats record of the search, sized as the MILP it
-// replaces: n starts plus the makespan, one binary per free pair, and
-// a row per arc, per active task and two per disjunction.
-func (s *windowSearch) stat() solve.MILPStat {
-	m := s.m
-	status := "optimal"
-	if s.Stopped {
-		status = "feasible(limit)"
-	}
-	st := s.Done(status)
-	st.Vars, st.IntVars, st.Constraints = len(m.dur)+1+len(m.free), len(m.free), len(m.arcs)+2*len(m.free)
-	for _, a := range m.active {
-		if a {
-			st.Constraints++
-		}
-	}
-	return st
 }
 
 // CompressBase returns the wash-free reference that T_delay and
