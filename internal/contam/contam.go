@@ -21,12 +21,15 @@
 package contam
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"pathdriverwash/internal/assay"
 	"pathdriverwash/internal/geom"
+	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/schedule"
 	"pathdriverwash/internal/solve"
 )
@@ -106,20 +109,6 @@ type Analysis struct {
 	Skips map[SkipReason]int
 }
 
-// use is a sensitive access to a cell.
-type use struct {
-	start    int
-	task     *schedule.Task
-	tolerate map[assay.FluidType]bool // nil means sensitive to everything foreign
-}
-
-// cellTask keys a (cell, task ID) pair: one requirement per use, one
-// demand per contamination event.
-type cellTask struct {
-	cell geom.Point
-	task string
-}
-
 // Policy selects how conservatively contamination is judged. The zero
 // value is PDW's necessity analysis (Sec. II-A). The DAWO baseline and
 // the ablation benches use the conservative switches.
@@ -168,187 +157,262 @@ func cancelErr(err error) error {
 	return fmt.Errorf("contam: analysis canceled: %w: %w", solve.ErrBudgetExceeded, err)
 }
 
+// cellLog is what happens on one cell of the chip. Tasks and fluids
+// are indices into the schedule's tasks and the analysis's fluids.
+type cellLog struct {
+	events []cellEvent // contaminations, in task order
+	washes []int       // wash-completion times
+	uses   []cellUse   // sensitive uses, in task order
+	waste  []int       // waste-carrier use starts (Type 3 stats)
+}
+
+// cellEvent is a contamination of the cell by task with fluid from at.
+// demanded marks one that some requirement washes away.
+type cellEvent struct {
+	at, task, fluid int
+	demanded        bool
+}
+
+// cellUse is a sensitive use of the cell by task from start.
+type cellUse struct {
+	start, task int
+}
+
+// fluidIDs numbers the fluid types of one analysis.
+type fluidIDs struct {
+	id    map[assay.FluidType]int
+	names []assay.FluidType
+}
+
+func (f *fluidIDs) of(t assay.FluidType) int {
+	i, ok := f.id[t]
+	if !ok {
+		i = len(f.names)
+		f.id[t] = i
+		f.names = append(f.names, t)
+	}
+	return i
+}
+
 func analyzeWithPolicy(cp *solve.Checkpoint, s *schedule.Schedule, pol Policy) (*Analysis, error) {
+	if s.Chip == nil {
+		return nil, fmt.Errorf("contam: schedule has no chip")
+	}
 	an := &Analysis{Skips: map[SkipReason]int{}}
+	chip, tasks := s.Chip, s.Tasks()
+	logs := make([]cellLog, chip.W*chip.H)
+	cell := func(p geom.Point) *cellLog { return &logs[p.Y*chip.W+p.X] }
+	fluids := fluidIDs{id: map[assay.FluidType]int{}}
+	// tolerate[i] are the foreign fluids harmless to task i's uses.
+	tolerate := make([][]int, len(tasks))
+	opTol := map[string][]int{}
+	tolerated := func(opID string) []int {
+		tol, ok := opTol[opID]
+		if !ok {
+			for f := range opTolerated(s.Assay, opID) {
+				tol = append(tol, fluids.of(f))
+			}
+			opTol[opID] = tol
+		}
+		return tol
+	}
 
-	events := map[geom.Point][]Event{} // contaminations per cell
-	washes := map[geom.Point][]int{}   // wash-completion times per cell
-	uses := map[geom.Point][]use{}     // sensitive uses per cell
-	wasteUse := map[geom.Point][]int{} // waste-carrier use starts (Type 3 stats)
-
-	for _, t := range s.Tasks() {
+	var contaminators []int // tasks leaving residue
+	nEvents := 0
+	for i, t := range tasks {
 		if err := cp.Check(); err != nil {
 			return nil, cancelErr(err)
 		}
 		if !t.Active() {
 			continue
 		}
+		if err := onChip(chip, t); err != nil {
+			return nil, err
+		}
 		switch t.Kind {
 		case schedule.Wash:
 			for _, c := range t.Path.Cells {
-				washes[c] = append(washes[c], t.End)
+				l := cell(c)
+				l.washes = append(l.washes, t.End)
 			}
 		default:
+			f := fluids.of(t.Fluid)
 			for _, c := range t.ContamCells {
-				ev := Event{Cell: c, Fluid: t.Fluid, At: t.End, TaskID: t.ID}
-				events[c] = append(events[c], ev)
-				an.Events = append(an.Events, ev)
+				l := cell(c)
+				l.events = append(l.events, cellEvent{at: t.End, task: i, fluid: f})
+			}
+			if len(t.ContamCells) > 0 {
+				contaminators = append(contaminators, i)
+				nEvents += len(t.ContamCells)
 			}
 		}
+		var sensitive, waste []geom.Point
 		switch t.Kind {
 		case schedule.Transport:
-			cells := t.SensitiveCells
+			sensitive = t.SensitiveCells
 			if pol.FullPathUses {
-				cells = t.Path.Cells
+				sensitive = t.Path.Cells
 			}
-			if len(cells) > 0 {
-				// Residue of the destination op's other inputs is
-				// harmless: those fluids are about to be mixed anyway.
-				tol := opTolerated(s.Assay, t.EdgeTo)
-				tol[t.Fluid] = true
-				if pol.IgnoreFluidTypes {
-					tol = map[assay.FluidType]bool{}
-				}
-				for _, c := range cells {
-					uses[c] = append(uses[c], use{start: t.Start, task: t, tolerate: tol})
-				}
+			// Residue of the destination op's other inputs is harmless:
+			// those fluids are about to be mixed anyway.
+			if len(sensitive) > 0 && !pol.IgnoreFluidTypes {
+				tolerate[i] = append(slices.Clip(tolerated(t.EdgeTo)), fluids.of(t.Fluid))
 			}
 		case schedule.Operation:
-			tol := opTolerated(s.Assay, t.OpID)
-			if pol.IgnoreFluidTypes {
-				tol = map[assay.FluidType]bool{}
-			}
-			for _, c := range t.SensitiveCells {
-				uses[c] = append(uses[c], use{start: t.Start, task: t, tolerate: tol})
+			sensitive = t.SensitiveCells
+			if !pol.IgnoreFluidTypes {
+				tolerate[i] = tolerated(t.OpID)
 			}
 		case schedule.Removal, schedule.WasteDisposal:
-			for _, c := range t.Path.Cells {
-				wasteUse[c] = append(wasteUse[c], t.Start)
-			}
+			waste = t.Path.Cells
 		}
-	}
-
-	for c := range events {
-		sort.Slice(events[c], func(i, j int) bool { return events[c][i].At < events[c][j].At })
-	}
-	for c := range uses {
-		sort.Slice(uses[c], func(i, j int) bool { return uses[c][i].start < uses[c][j].start })
-	}
-	for c := range washes {
-		sort.Ints(washes[c])
+		for _, c := range sensitive {
+			l := cell(c)
+			l.uses = append(l.uses, cellUse{start: t.Start, task: i})
+		}
+		for _, c := range waste {
+			l := cell(c)
+			l.waste = append(l.waste, t.Start)
+		}
 	}
 
 	// Requirements: for each sensitive use, the foreign residue present
 	// when it starts (deposited after the last wash) must be washed away.
-	seen := map[cellTask]bool{}
-	for cell, ulist := range uses {
-		for _, u := range ulist {
+	// A task listing a cell twice uses it once: met[i] == c+1 marks task
+	// i's use of cell c as judged.
+	met := make([]int, len(tasks))
+	var fl, culprits []int
+	for c := range logs {
+		l := &logs[c]
+		for _, u := range l.uses {
 			// The (cell, use) x events product is the quadratic heart of
 			// the analysis; the checkpoint bounds a deadline to one
 			// stride of it.
 			if err := cp.Check(); err != nil {
 				return nil, cancelErr(err)
 			}
+			if met[u.task] == c+1 {
+				continue
+			}
+			met[u.task] = c + 1
 			lastWash := -1
-			for _, w := range washes[cell] {
+			for _, w := range l.washes {
 				if w <= u.start && w > lastWash {
 					lastWash = w
 				}
 			}
-			var fluids []assay.FluidType
-			var culprits []string
+			fl, culprits = fl[:0], culprits[:0]
 			ready := -1
-			for _, ev := range events[cell] {
-				if ev.At > u.start || ev.At <= lastWash {
+			for k := range l.events {
+				ev := &l.events[k]
+				if ev.at > u.start || ev.at <= lastWash {
 					continue
 				}
-				if ev.TaskID == u.task.ID {
+				if ev.task == u.task {
 					continue // a task does not contaminate itself
 				}
-				if u.tolerate[ev.Fluid] {
+				if slices.Contains(tolerate[u.task], ev.fluid) {
 					continue
 				}
-				fluids = appendFluid(fluids, ev.Fluid)
-				culprits = appendStr(culprits, ev.TaskID)
-				if ev.At > ready {
-					ready = ev.At
+				ev.demanded = true
+				if !slices.Contains(fl, ev.fluid) {
+					fl = append(fl, ev.fluid)
 				}
+				if !slices.Contains(culprits, ev.task) {
+					culprits = append(culprits, ev.task)
+				}
+				ready = max(ready, ev.at)
 			}
-			if len(fluids) == 0 {
+			if len(fl) == 0 {
 				continue
 			}
-			key := cellTask{cell, u.task.ID}
-			if seen[key] {
-				continue
+			r := Requirement{
+				Cell: geom.Pt(c%chip.W, c/chip.W), ReadyAt: ready, Deadline: u.start,
+				BeforeTask: tasks[u.task].ID,
 			}
-			seen[key] = true
-			an.Requirements = append(an.Requirements, Requirement{
-				Cell: cell, Fluids: fluids, ReadyAt: ready, Deadline: u.start,
-				CulpritTasks: culprits, BeforeTask: u.task.ID,
-			})
+			for _, f := range fl {
+				r.Fluids = append(r.Fluids, fluids.names[f])
+			}
+			for _, k := range culprits {
+				r.CulpritTasks = append(r.CulpritTasks, tasks[k].ID)
+			}
+			an.Requirements = append(an.Requirements, r)
 		}
 	}
-	sort.Slice(an.Requirements, func(i, j int) bool {
-		a, b := an.Requirements[i], an.Requirements[j]
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-		if a.Cell.Y != b.Cell.Y {
-			return a.Cell.Y < b.Cell.Y
-		}
-		if a.Cell.X != b.Cell.X {
-			return a.Cell.X < b.Cell.X
-		}
-		return a.BeforeTask < b.BeforeTask
-	})
-	sort.Slice(an.Events, func(i, j int) bool {
-		a, b := an.Events[i], an.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.TaskID != b.TaskID {
-			return a.TaskID < b.TaskID
-		}
-		if a.Cell.Y != b.Cell.Y {
-			return a.Cell.Y < b.Cell.Y
-		}
-		return a.Cell.X < b.Cell.X
-	})
 
 	// Skip statistics per contamination event (Sec. II-A's taxonomy).
-	demanded := map[cellTask]bool{}
-	for _, r := range an.Requirements {
-		for _, t := range r.CulpritTasks {
-			demanded[cellTask{r.Cell, t}] = true
+	for c := range logs {
+		l := &logs[c]
+		for _, ev := range l.events {
+			if err := cp.Check(); err != nil {
+				return nil, cancelErr(err)
+			}
+			if ev.demanded {
+				an.Skips[NoSkip]++
+				continue
+			}
+			an.Skips[classifySkip(ev, l)]++
 		}
 	}
-	for _, ev := range an.Events {
-		if err := cp.Check(); err != nil {
-			return nil, cancelErr(err)
+
+	slices.SortFunc(an.Requirements, func(a, b Requirement) int {
+		if a.Deadline != b.Deadline {
+			return cmp.Compare(a.Deadline, b.Deadline)
 		}
-		if demanded[cellTask{ev.Cell, ev.TaskID}] {
-			an.Skips[NoSkip]++
-			continue
+		if a.Cell.Y != b.Cell.Y {
+			return cmp.Compare(a.Cell.Y, b.Cell.Y)
 		}
-		an.Skips[classifySkip(ev, uses[ev.Cell], wasteUse[ev.Cell])]++
+		if a.Cell.X != b.Cell.X {
+			return cmp.Compare(a.Cell.X, b.Cell.X)
+		}
+		return strings.Compare(a.BeforeTask, b.BeforeTask)
+	})
+	// Events in (At, TaskID, cell) order: the contaminating tasks by
+	// (end, ID), each one's cells row-major.
+	slices.SortFunc(contaminators, func(i, j int) int {
+		a, b := tasks[i], tasks[j]
+		if a.End != b.End {
+			return cmp.Compare(a.End, b.End)
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
+	an.Events = make([]Event, 0, nEvents)
+	for _, i := range contaminators {
+		t, k := tasks[i], len(an.Events)
+		for _, c := range t.ContamCells {
+			an.Events = append(an.Events, Event{Cell: c, Fluid: t.Fluid, At: t.End, TaskID: t.ID})
+		}
+		slices.SortFunc(an.Events[k:], func(a, b Event) int {
+			if a.Cell.Y != b.Cell.Y {
+				return cmp.Compare(a.Cell.Y, b.Cell.Y)
+			}
+			return cmp.Compare(a.Cell.X, b.Cell.X)
+		})
 	}
 	return an, nil
 }
 
-// classifySkip explains why the event produced no requirement.
-func classifySkip(ev Event, ulist []use, waste []int) SkipReason {
-	sensLater := false
-	for _, u := range ulist {
-		if u.start >= ev.At && u.task.ID != ev.TaskID {
-			sensLater = true
-			break
+// onChip rejects a task that lists a cell off the chip.
+func onChip(chip *grid.Chip, t *schedule.Task) error {
+	for _, cells := range [][]geom.Point{t.Path.Cells, t.ContamCells, t.SensitiveCells} {
+		for _, p := range cells {
+			if !chip.InBounds(p) {
+				return fmt.Errorf("contam: task %s lists cell %v off the %dx%d chip", t.ID, p, chip.W, chip.H)
+			}
 		}
 	}
-	if sensLater {
-		return Type2 // later sensitive uses exist, all tolerated the fluid
+	return nil
+}
+
+// classifySkip explains why the event produced no requirement.
+func classifySkip(ev cellEvent, l *cellLog) SkipReason {
+	for _, u := range l.uses {
+		if u.start >= ev.at && u.task != ev.task {
+			return Type2 // later sensitive uses exist, all tolerated the fluid
+		}
 	}
-	for _, w := range waste {
-		if w >= ev.At {
+	for _, w := range l.waste {
+		if w >= ev.at {
 			return Type3 // only waste carriers touch it afterwards
 		}
 	}

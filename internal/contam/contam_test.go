@@ -415,3 +415,40 @@ func TestHeatmap(t *testing.T) {
 		t.Errorf("contamination counts missing: %q", lines[2])
 	}
 }
+
+// TestOffChipCellRejected pins that a cell off the chip, in any of the
+// lists the analysis reads, is an error and not a panic, as is a
+// schedule without a chip.
+func TestOffChipCellRejected(t *testing.T) {
+	for _, off := range []geom.Point{geom.Pt(12, 2), geom.Pt(-1, 2), geom.Pt(3, 5)} {
+		for _, tc := range []struct {
+			list string
+			pol  Policy
+		}{
+			{"contam", Policy{}},
+			{"sensitive", Policy{}},
+			{"path", Policy{FullPathUses: true}}, // a transport's uses
+			{"removal path", Policy{}},           // a waste carrier's uses
+		} {
+			s := twoTransportSchedule(t, "fa", "fb", 3)
+			tk := s.Task("t2")
+			switch tc.list {
+			case "contam":
+				tk.ContamCells = append(tk.ContamCells, off)
+			case "sensitive":
+				tk.SensitiveCells = append(tk.SensitiveCells, off)
+			case "removal path":
+				tk.Kind = schedule.Removal
+				fallthrough
+			case "path":
+				tk.Path = grid.NewPath(append(tk.Path.Cells, off)...)
+			}
+			if _, err := AnalyzeWithPolicy(s, tc.pol); err == nil || !strings.Contains(err.Error(), "off the 12x5 chip") {
+				t.Errorf("%v in %s cells: error %v", off, tc.list, err)
+			}
+		}
+	}
+	if _, err := Analyze(schedule.New(nil, assay.New("none"))); err == nil {
+		t.Error("a schedule without a chip must fail")
+	}
+}

@@ -2,7 +2,7 @@ package pdw_test
 
 import (
 	"context"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,10 +13,10 @@ import (
 )
 
 // canceledSchedule runs exact PDW on the overrun-diamond corpus draw of
-// seed 9 and cancels it as soon as the live progress view names a
-// wash-path search, so the cancel lands mid-solve: its wash insertion
-// takes tens of milliseconds and the exact window search after it
-// about 9 s (Table II's exact PDW runs finish in tens of ms).
+// seed 9 and cancels it right after its first wash cover is built, so
+// the cancel lands mid-solve: its wash insertion takes tens of
+// milliseconds and the exact window search after it about 9 s (Table
+// II's exact PDW runs finish in tens of ms).
 func canceledSchedule(t *testing.T) *pdw.Result {
 	t.Helper()
 	b, err := corpus.GenerateContext(context.Background(), corpus.Params{Name: "overrun-diamond", Seed: 9, Ops: 10,
@@ -29,43 +29,31 @@ func canceledSchedule(t *testing.T) *pdw.Result {
 		t.Fatal(err)
 	}
 
-	prog := solve.NewProgress()
-	ctx, cancel := context.WithCancel(solve.WithProgress(context.Background(), prog))
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan *pdw.Result, 1)
-	errc := make(chan error, 1)
-	go func() {
-		res, err := pdw.OptimizeContext(ctx, syn.Schedule, pdw.Options{
-			Budget: solve.Budget{PerPath: 10 * time.Second, Window: time.Minute},
+	var once sync.Once
+	canceledAt := make(chan time.Time, 1)
+	defer pdw.SetOnCover(func() {
+		once.Do(func() {
+			canceledAt <- time.Now()
+			cancel()
 		})
-		if err != nil {
-			errc <- err
-			return
-		}
-		done <- res
-	}()
-
-	for !strings.HasPrefix(prog.Snapshot().Model, "wash-path[") {
-		select {
-		case err := <-errc:
-			t.Fatalf("PDW failed before its first wash-path search: %v", err)
-		case <-done:
-			t.Fatal("PDW finished before a wash-path search showed on the progress view")
-		case <-time.After(100 * time.Microsecond):
-		}
-	}
-	t0 := time.Now()
-	cancel()
-	select {
-	case err := <-errc:
+	})()
+	res, err := pdw.OptimizeContext(ctx, syn.Schedule, pdw.Options{
+		Budget: solve.Budget{PerPath: 10 * time.Second, Window: time.Minute},
+	})
+	if err != nil {
 		t.Fatalf("cancellation must degrade, not error: %v", err)
-	case res := <-done:
+	}
+	select {
+	case t0 := <-canceledAt:
 		if lat := time.Since(t0); lat > 100*time.Millisecond {
 			t.Fatalf("returned %v after cancel, want <100ms", lat)
 		}
-		return res
+	default:
+		t.Fatal("PDW finished without building a wash cover")
 	}
-	return nil
+	return res
 }
 
 func TestOptimizeContextCancelReturnsIncumbentFast(t *testing.T) {

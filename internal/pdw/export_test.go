@@ -13,6 +13,14 @@ var (
 	OptimizeWindowsMILP = optimizeWindowsMILP
 )
 
+// SetOnCover makes f the hook called after every wash cover PDW builds
+// and returns the function that restores the previous hook.
+func SetOnCover(f func()) (restore func()) {
+	prev := onCover
+	onCover = f
+	return func() { onCover = prev }
+}
+
 // WindowFreePairs counts the disjunctions the window search orders on
 // plan: its free pairs that are not hazard pairs.
 func WindowFreePairs(plan *replan.Plan, greedy *schedule.Schedule) int {

@@ -32,6 +32,7 @@ package pdw
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"pathdriverwash/internal/contam"
@@ -267,6 +268,9 @@ func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Sch
 	if err != nil {
 		return nil, fmt.Errorf("pdw: wash path for %v: %w", g.Targets, err)
 	}
+	if onCover != nil {
+		onCover()
+	}
 
 	var states []*specState
 	for i, plan := range plans {
@@ -339,6 +343,10 @@ func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Sch
 	return specs, nil
 }
 
+// onCover, when set, is called after every wash cover buildWashSpecs
+// builds; tests cancel a run at a known point through it.
+var onCover func()
+
 // specState is a wash spec under construction with its current
 // base-time execution window.
 type specState struct {
@@ -360,6 +368,9 @@ func (st *specState) integrate(rm *schedule.Task, trID string, nr, nd int,
 	}
 	// The excess cells become hard targets so a later path extension for
 	// another integration cannot drop them (Eq. 21 must keep holding).
+	// The targets may share storage with another spec's (the wash cover
+	// hands out halves of one chain), so appending must copy them.
+	st.spec.Targets = slices.Clip(st.spec.Targets)
 	for _, c := range rm.ExcessCells {
 		if !containsPoint(st.spec.Targets, c) {
 			st.spec.Targets = append(st.spec.Targets, c)

@@ -2,12 +2,14 @@ package pdw
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"pathdriverwash/internal/assay"
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/dawo"
+	"pathdriverwash/internal/geom"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/schedule"
 	"pathdriverwash/internal/solve"
@@ -275,5 +277,63 @@ func TestSkipsReported(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no contamination events counted")
+	}
+}
+
+// TestIntegrationKeepsOtherHalfTargets builds the wash specs of a bar
+// of targets that no single path covers: (1,1)..(4,1) runs between two
+// flow ports, and a channel leads down from (2,1) and from (3,1) to a
+// waste port each. The cover washes the bar by halves, and a removal
+// whose excess cell (2,2) lies on the first half's path is absorbed
+// into it, which adds (2,2) to that half's targets. The second half
+// must keep its own targets: the halves once shared one array, so the
+// append overwrote (3,1) and the second wash missed (2,2).
+func TestIntegrationKeepsOtherHalfTargets(t *testing.T) {
+	c := grid.NewChip("bar", 6, 4)
+	for _, p := range []struct {
+		id   string
+		kind grid.PortKind
+		at   geom.Point
+	}{
+		{"in1", grid.FlowPort, geom.Pt(0, 1)},
+		{"in2", grid.FlowPort, geom.Pt(5, 1)},
+		{"out1", grid.WastePort, geom.Pt(2, 3)},
+		{"out2", grid.WastePort, geom.Pt(3, 3)},
+	} {
+		if _, err := c.AddPort(p.id, p.kind, p.at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []geom.Point{geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(3, 1), geom.Pt(4, 1), geom.Pt(2, 2), geom.Pt(3, 2)} {
+		if err := c.AddChannel(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := schedule.New(c, assay.New("bar"))
+	cur.MustAdd(&schedule.Task{ID: "tr-o1-o2", Kind: schedule.Transport, Start: 0, End: 1, EdgeFrom: "o1", EdgeTo: "o2"})
+	cur.MustAdd(&schedule.Task{ID: "rm-o1-o2", Kind: schedule.Removal, Start: 1, End: 2, EdgeFrom: "o1", EdgeTo: "o2",
+		ExcessCells: []geom.Point{geom.Pt(2, 2)}})
+	cur.MustAdd(&schedule.Task{ID: "op-o2", Kind: schedule.Operation, OpID: "o2", Start: 50, End: 52})
+
+	bar := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(3, 1), geom.Pt(4, 1)}
+	g := contam.Group{Targets: bar, Ready: 0, Deadline: 40}
+	for _, heuristic := range []bool{true, false} {
+		cp := solve.NewCheckpoint(context.Background())
+		opts := Options{HeuristicPaths: heuristic}.withDefaults()
+		specs, err := buildWashSpecs(context.Background(), &cp, cur, g, map[string]bool{}, opts, &solve.Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(specs) != 2 || len(specs[0].Integrates) != 1 {
+			t.Fatalf("heuristic %v: specs %+v, want two halves, the first absorbing the removal", heuristic, specs)
+		}
+		if want := bar[2:]; !slices.Equal(specs[1].Targets, want) {
+			t.Errorf("heuristic %v: second half targets %v, want %v", heuristic, specs[1].Targets, want)
+		}
+		for _, s := range specs {
+			if !s.Path.Covers(s.Targets) {
+				t.Errorf("heuristic %v: wash path %v misses targets %v", heuristic, s.Path, s.Targets)
+			}
+		}
 	}
 }

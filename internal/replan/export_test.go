@@ -3,6 +3,8 @@ package replan
 import (
 	"fmt"
 	"slices"
+
+	"pathdriverwash/internal/schedule"
 )
 
 // CheckClosure compares the plan's bitset closure with the map-based
@@ -19,9 +21,69 @@ func CheckClosure(p *Plan) error {
 			}
 		}
 	}
-	want := p.freePairs(func(i, j int) bool { return ref[i][j] })
+	want := p.refFreePairs(func(i, j int) bool { return ref[i][j] })
 	if !slices.Equal(p.FreePairs, want) {
 		return fmt.Errorf("free pairs %v, map closure gives %v", p.FreePairs, want)
+	}
+	return nil
+}
+
+// CheckAllPairs builds the plan of base and washes with Build and with
+// the all-pairs reference and compares them: the same error, every
+// Build edge among the reference's, the same closure, the same free
+// pairs in the same order, and the same greedy schedule.
+func CheckAllPairs(base *schedule.Schedule, washes []WashSpec) error {
+	got, err := Build(base, washes)
+	want, werr := buildAllPairs(base, washes)
+	if (err == nil) != (werr == nil) {
+		return fmt.Errorf("Build error %v, reference %v", err, werr)
+	}
+	if err != nil {
+		return nil
+	}
+	ref := map[[2]int]bool{}
+	for _, e := range want.Edges {
+		ref[e] = true
+	}
+	for _, e := range got.Edges {
+		if !ref[e] {
+			return fmt.Errorf("edge %s->%s is not a reference edge", got.Tasks[e[0]].ID, got.Tasks[e[1]].ID)
+		}
+	}
+	gc, wc := got.reachability(), want.reachability()
+	for i := range got.Tasks {
+		for j := range got.Tasks {
+			if gc.has(i, j) != wc.has(i, j) {
+				return fmt.Errorf("%s reaches %s: %v, reference %v", got.Tasks[i].ID, got.Tasks[j].ID, gc.has(i, j), wc.has(i, j))
+			}
+		}
+	}
+	if !slices.Equal(got.FreePairs, want.FreePairs) {
+		return fmt.Errorf("free pairs %v, reference %v", got.FreePairs, want.FreePairs)
+	}
+	gs, err := got.Greedy()
+	ws, werr := want.Greedy()
+	if (err == nil) != (werr == nil) {
+		return fmt.Errorf("Greedy error %v, reference %v", err, werr)
+	}
+	if err != nil {
+		return nil
+	}
+	return sameTimes(gs, ws)
+}
+
+// sameTimes fails unless the schedules hold the same tasks in the same
+// order with the same windows.
+func sameTimes(got, want *schedule.Schedule) error {
+	gt, wt := got.Tasks(), want.Tasks()
+	if len(gt) != len(wt) {
+		return fmt.Errorf("%d tasks, reference %d", len(gt), len(wt))
+	}
+	for k := range gt {
+		a, b := gt[k], wt[k]
+		if a.ID != b.ID || a.Start != b.Start || a.End != b.End {
+			return fmt.Errorf("task %d is %v, reference %v", k, a, b)
+		}
 	}
 	return nil
 }

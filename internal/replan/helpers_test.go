@@ -14,17 +14,5 @@ func chainOrderForTest(cells []geom.Point) ([]geom.Point, error) {
 
 // flushForTest routes a complete flush path avoiding non-target devices.
 func flushForTest(chip *grid.Chip, chain []geom.Point) (grid.Path, *grid.Port, *grid.Port, error) {
-	tset := map[geom.Point]bool{}
-	for _, c := range chain {
-		tset[c] = true
-	}
-	avoid := map[geom.Point]bool{}
-	for _, d := range chip.Devices() {
-		for _, c := range d.Cells() {
-			if !tset[c] {
-				avoid[c] = true
-			}
-		}
-	}
-	return route.FlushPath(chip, chain, route.Options{AvoidPorts: true, AvoidDevices: avoid})
+	return route.FlushPath(chip, chain, route.Options{AvoidPorts: true, AvoidDevices: true, Exempt: chain})
 }

@@ -11,7 +11,9 @@
 package replan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pathdriverwash/internal/geom"
@@ -61,6 +63,29 @@ type Plan struct {
 
 // Build assembles the plan.
 func Build(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
+	p, err := assemble(base, washes)
+	if err != nil {
+		return nil, err
+	}
+	x, err := newResourceIndex(p)
+	if err != nil {
+		return nil, err
+	}
+	nBase := len(p.Tasks) - len(washes)
+	// Conflict-capable base pairs keep their base order (the free ε of
+	// Eq. 8 is fixed to the synthesized order; see DESIGN.md).
+	if err := p.chainBase(x, nBase); err != nil {
+		return nil, err
+	}
+	slices.SortFunc(p.Edges, cmpPair)
+	p.Edges = slices.Compact(p.Edges)
+	p.buildFreePairs(x, nBase)
+	return p, nil
+}
+
+// assemble clones the tasks and adds the precedence edges that task
+// provenance and the washes' windows imply, before the base order.
+func assemble(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 	p := &Plan{Base: base, Washes: washes, Index: map[string]int{}}
 	integrated := map[string]string{}
 	for _, w := range washes {
@@ -108,7 +133,6 @@ func Build(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 	if err := p.buildEdges(integrated); err != nil {
 		return nil, err
 	}
-	p.buildFreePairs()
 	return p, nil
 }
 
@@ -220,44 +244,105 @@ func (p *Plan) buildEdges(integrated map[string]string) error {
 			}
 		}
 	}
-	// Conflict-capable base pairs keep their base order (the free ε of
-	// Eq. 8 is fixed to the synthesized order; see DESIGN.md).
-	pl := schedule.NewPlacer(base)
-	bt := base.SortedByStart()
-	for i := 0; i < len(bt); i++ {
-		for j := i + 1; j < len(bt); j++ {
-			a, b := bt[i], bt[j]
-			if !a.Active() || !b.Active() {
-				continue
+	return nil
+}
+
+// resourceIndex maps the plan's active tasks to the cells they hold and
+// back. Cells are the chip's dense indices y·W+x. An operation holds
+// its device's cells and a fluidic task its path's cells, so two tasks
+// are conflict-capable (schedule.Placer.ConflictCapable) exactly when
+// they hold a common cell.
+type resourceIndex struct {
+	// held[heldAt[i]:heldAt[i+1]] are task i's cells, each once.
+	heldAt, held []int32
+	// users[c] are the tasks holding cell c, in task order.
+	users [][]int32
+}
+
+func (x *resourceIndex) cells(i int) []int32 { return x.held[x.heldAt[i]:x.heldAt[i+1]] }
+
+// newResourceIndex indexes the active tasks of p. It rejects a cell off
+// the chip and an operation without a device, neither of which a valid
+// schedule holds.
+func newResourceIndex(p *Plan) (*resourceIndex, error) {
+	chip := p.Base.Chip
+	cells := chip.W * chip.H
+	x := &resourceIndex{heldAt: make([]int32, len(p.Tasks)+1)}
+	listed := make([]int32, cells) // listed[c] == i+1: c is already among task i's cells
+	for i, t := range p.Tasks {
+		hold := func(pt geom.Point) error {
+			if !chip.InBounds(pt) {
+				return fmt.Errorf("replan: task %s holds cell %v off the %dx%d chip", t.ID, pt, chip.W, chip.H)
 			}
-			// Removals absorbed into washes (ψ=1) hold no resources in
-			// this plan; their timing is governed by the wash edges.
-			if _, ok := integrated[a.ID]; ok {
-				continue
+			if c := int32(pt.Y*chip.W + pt.X); listed[c] != int32(i+1) {
+				listed[c] = int32(i + 1)
+				x.held = append(x.held, c)
 			}
-			if _, ok := integrated[b.ID]; ok {
-				continue
+			return nil
+		}
+		switch {
+		case !t.Active():
+		case t.Kind.Fluidic():
+			for _, pt := range t.Path.Cells {
+				if err := hold(pt); err != nil {
+					return nil, err
+				}
 			}
-			if !pl.ConflictCapable(a, b) {
-				continue
+		case t.Device == nil:
+			return nil, fmt.Errorf("replan: operation %s has no device", t.ID)
+		default:
+			for _, pt := range t.Device.Cells() {
+				if err := hold(pt); err != nil {
+					return nil, err
+				}
 			}
-			first, second := a, b
-			if b.End <= a.Start {
-				first, second = b, a
-			}
-			p.Edges = append(p.Edges, [2]int{p.Index[first.ID], p.Index[second.ID]})
+		}
+		x.heldAt[i+1] = int32(len(x.held))
+	}
+	x.users = make([][]int32, cells)
+	for i := range p.Tasks {
+		for _, c := range x.cells(i) {
+			x.users[c] = append(x.users[c], int32(i))
 		}
 	}
-	// Deduplicate edges.
-	seen := map[[2]int]bool{}
-	out := p.Edges[:0]
-	for _, e := range p.Edges {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
+	return x, nil
+}
+
+// chainBase orders the active base tasks (the first nBase) that share a
+// cell: on each cell, every user precedes the next one in base order,
+// so each conflict-capable pair is ordered through the chain of a cell
+// both hold. Base order is the tasks' (start, end, ID) order, except
+// that zero-duration tasks starting together run in descending ID, the
+// order the former one-edge-per-pair rule gave them (it put the pair's
+// second task first whenever that one ended by the first one's start).
+func (p *Plan) chainBase(x *resourceIndex, nBase int) error {
+	order := make([]int, 0, nBase)
+	for i, t := range p.Tasks[:nBase] {
+		if !t.Active() {
+			continue
+		}
+		if t.End < t.Start {
+			return fmt.Errorf("replan: task %s has invalid window [%d,%d)", t.ID, t.Start, t.End)
+		}
+		order = append(order, i)
+	}
+	for lo := 0; lo < len(order); {
+		t, hi := p.Tasks[order[lo]], lo+1
+		for t.Start == t.End && hi < len(order) && p.Tasks[order[hi]].Start == t.Start && p.Tasks[order[hi]].End == t.End {
+			hi++
+		}
+		slices.Reverse(order[lo:hi])
+		lo = hi
+	}
+	last := make([]int32, len(x.users)) // last[c]: the previous user of c, plus one
+	for _, i := range order {
+		for _, c := range x.cells(i) {
+			if l := last[c]; l > 0 {
+				p.Edges = append(p.Edges, [2]int{int(l - 1), i})
+			}
+			last[c] = int32(i + 1)
 		}
 	}
-	p.Edges = out
 	return nil
 }
 
@@ -331,38 +416,36 @@ func removalTransportID(rmID, from, to string) (string, bool) {
 	return "", false
 }
 
-// buildFreePairs finds conflict-capable pairs not ordered by the DAG;
-// with base pairs fixed, each free pair involves at least one wash.
-func (p *Plan) buildFreePairs() {
-	p.FreePairs = p.freePairs(p.reachability().has)
-}
-
-// freePairs lists the conflict-capable pairs with a wash that
-// reachable leaves unordered in either direction.
-func (p *Plan) freePairs(reachable func(i, j int) bool) [][2]int {
-	var out [][2]int
-	pl := schedule.NewPlacer(p.Base)
+// buildFreePairs finds the conflict-capable pairs the DAG leaves
+// unordered, in (i, j) order. Base pairs are all ordered, so each free
+// pair involves a wash, and as washes come last, its second task is
+// one: each wash's cells name its partners.
+func (p *Plan) buildFreePairs(x *resourceIndex, nBase int) {
+	reach := p.reachability()
 	n := len(p.Tasks)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a, b := p.Tasks[i], p.Tasks[j]
-			if a.Kind != schedule.Wash && b.Kind != schedule.Wash {
-				continue
+	met := make([]int32, n) // met[i] == j+1: i is already a partner of wash j
+	for j := nBase; j < n; j++ {
+		for _, c := range x.cells(j) {
+			for _, u := range x.users[c] {
+				i := int(u)
+				if i >= j {
+					break // a later task pairs with j from its own cells
+				}
+				if met[i] == int32(j+1) {
+					continue
+				}
+				met[i] = int32(j + 1)
+				if !reach.has(i, j) && !reach.has(j, i) {
+					p.FreePairs = append(p.FreePairs, [2]int{i, j})
+				}
 			}
-			if !a.Active() || !b.Active() {
-				continue
-			}
-			if !pl.ConflictCapable(a, b) {
-				continue
-			}
-			if reachable(i, j) || reachable(j, i) {
-				continue
-			}
-			out = append(out, [2]int{i, j})
 		}
 	}
-	return out
+	slices.SortFunc(p.FreePairs, cmpPair)
 }
+
+// cmpPair orders task index pairs lexicographically.
+func cmpPair(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
 
 // closure is a transitive closure over n tasks: one bitset row of
 // words uint64s per task.

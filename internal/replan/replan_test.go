@@ -1,6 +1,7 @@
 package replan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -316,5 +317,103 @@ func TestClosureOnCyclicPlan(t *testing.T) {
 				t.Errorf("%d reaches %d: bitset %v, map %v", i, j, c.has(i, j), ref[i][j])
 			}
 		}
+	}
+}
+
+// lineSchedule is an empty schedule on a 6x1 line: a flow port, four
+// channel cells and a waste port.
+func lineSchedule(t *testing.T) *schedule.Schedule {
+	t.Helper()
+	c := grid.NewChip("line", 6, 1)
+	if _, err := c.AddPort("in", grid.FlowPort, geom.Pt(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddPort("out", grid.WastePort, geom.Pt(5, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for x := 1; x <= 4; x++ {
+		if err := c.AddChannel(geom.Pt(x, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return schedule.New(c, assay.New("line"))
+}
+
+// span is the path over cells x0..x1 of the line.
+func span(x0, x1 int) grid.Path {
+	var cells []geom.Point
+	for x := x0; x <= x1; x++ {
+		cells = append(cells, geom.Pt(x, 0))
+	}
+	return grid.NewPath(cells...)
+}
+
+// TestZeroDurationTasksChainInDescendingID builds a base where three
+// zero-duration tasks start together between a task that ends then and
+// one that starts then. The former pairwise rule ordered such tasks in
+// descending ID, so the chains must too: base order would put z1 before
+// z2 on cell 2, against the reference's z2 before z1, and lose p before
+// q.
+func TestZeroDurationTasksChainInDescendingID(t *testing.T) {
+	s := lineSchedule(t)
+	for _, tk := range []struct {
+		id         string
+		start, end int
+		path       grid.Path
+	}{
+		{"p", 0, 2, span(1, 3)},
+		{"z1", 2, 2, span(2, 3)},
+		{"z2", 2, 2, span(1, 2)},
+		{"z3", 2, 2, span(3, 4)},
+		{"q", 2, 4, span(2, 4)},
+	} {
+		s.MustAdd(&schedule.Task{ID: tk.id, Kind: schedule.Transport, Start: tk.start, End: tk.end,
+			MinDuration: tk.end - tk.start, Path: tk.path, Fluid: "f"})
+	}
+	wash := WashSpec{ID: "w1", Path: span(0, 5), Targets: []geom.Point{geom.Pt(2, 0)}, Duration: 1}
+	for _, washes := range [][]WashSpec{nil, {wash}} {
+		if err := CheckAllPairs(s, washes); err != nil {
+			t.Errorf("%d washes: %v", len(washes), err)
+		}
+	}
+	plan, err := Build(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Greedy(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range plan.Edges {
+		got = append(got, plan.Tasks[e[0]].ID+">"+plan.Tasks[e[1]].ID)
+	}
+	for _, e := range []string{"z2>z1", "z3>z1", "z1>q", "z3>q"} {
+		if !slices.Contains(got, e) {
+			t.Errorf("edges %v lack %s", got, e)
+		}
+	}
+}
+
+// TestBuildRejectsUnindexableTasks pins that a task Build cannot index
+// is an error, not a panic: a path cell off the chip, an operation
+// without a device, a window that ends before it starts.
+func TestBuildRejectsUnindexableTasks(t *testing.T) {
+	for _, tc := range []struct {
+		task *schedule.Task
+		want string
+	}{
+		{&schedule.Task{ID: "t", Kind: schedule.Transport, Start: 0, End: 1, Path: grid.NewPath(geom.Pt(5, 0), geom.Pt(6, 0))}, "off the 6x1 chip"},
+		{&schedule.Task{ID: "t", Kind: schedule.Transport, Start: 0, End: 1, Path: grid.NewPath(geom.Pt(0, -1))}, "off the 6x1 chip"},
+		{&schedule.Task{ID: "op-o1", Kind: schedule.Operation, OpID: "o1", Start: 0, End: 1}, "has no device"},
+		{&schedule.Task{ID: "t", Kind: schedule.Transport, Start: 3, End: 1, Path: span(1, 2)}, "invalid window"},
+	} {
+		s := lineSchedule(t)
+		s.MustAdd(tc.task)
+		if _, err := Build(s, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.task, err, tc.want)
+		}
+	}
+	if _, err := Build(lineSchedule(t), []WashSpec{{ID: "w1", Path: grid.NewPath(geom.Pt(9, 9)), Duration: 1}}); err == nil {
+		t.Error("a wash path off the chip must fail")
 	}
 }

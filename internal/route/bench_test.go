@@ -37,19 +37,7 @@ func BenchmarkFlushPath(b *testing.B) {
 			continue
 		}
 		chain := t.Path.Cells[1 : t.Path.Len()-1]
-		on := map[geom.Point]bool{}
-		for _, p := range chain {
-			on[p] = true
-		}
-		avoid := map[geom.Point]bool{}
-		for _, d := range chip.Devices() {
-			for _, p := range d.Cells() {
-				if !on[p] {
-					avoid[p] = true
-				}
-			}
-		}
-		queries = append(queries, query{chain, route.Options{AvoidPorts: true, AvoidDevices: avoid}})
+		queries = append(queries, query{chain, route.Options{AvoidPorts: true, AvoidDevices: true, Exempt: chain}})
 	}
 	b.Logf("%s: %dx%d chip, %d flow ports, %d waste ports, %d chains",
 		set[0].Name, chip.W, chip.H, len(chip.FlowPorts()), len(chip.WastePorts()), len(queries))

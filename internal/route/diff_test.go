@@ -41,8 +41,9 @@ func (s *byteSource) cell(c *grid.Chip) geom.Point {
 
 // decodeCase builds a chip of 2..10 x 2..10 cells (empty, channel,
 // one-cell devices, and flow and waste ports in turn on the boundary),
-// random Blocked, AvoidPorts and AvoidDevices, and a chain that is
-// either arbitrary cells or a random walk (both may repeat cells).
+// random Blocked, AvoidPorts and AvoidDevices with random Exempt device
+// cells and other cells, and a chain that is either arbitrary cells or
+// a random walk (both may repeat cells).
 func decodeCase(data []byte) routeCase {
 	s := &byteSource{b: data}
 	w, h := 2+s.next()%9, 2+s.next()%9
@@ -80,14 +81,15 @@ func decodeCase(data []byte) routeCase {
 	o.AvoidPorts = s.next()%2 == 1
 	switch s.next() % 3 {
 	case 1:
-		o.AvoidDevices = map[geom.Point]bool{}
-		for _, p := range devCells {
-			o.AvoidDevices[p] = true
-		}
+		o.AvoidDevices = true
 	case 2:
-		o.AvoidDevices = map[geom.Point]bool{}
+		o.AvoidDevices = true
 		for range s.next() % 6 {
-			o.AvoidDevices[s.cell(c)] = true
+			if s.next()%2 == 0 && len(devCells) > 0 {
+				o.Exempt = append(o.Exempt, devCells[s.next()%len(devCells)])
+			} else {
+				o.Exempt = append(o.Exempt, s.cell(c))
+			}
 		}
 	}
 	n := 1 + s.next()%5

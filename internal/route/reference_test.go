@@ -3,6 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pathdriverwash/internal/geom"
 	"pathdriverwash/internal/grid"
@@ -26,10 +27,15 @@ func refUsable(c *grid.Chip, p geom.Point, o Options, isEndpoint bool) bool {
 	if o.AvoidPorts && c.PortAt(p) != nil {
 		return false
 	}
-	if o.AvoidDevices != nil && o.AvoidDevices[p] {
+	if refAvoided(c, o, p) {
 		return false
 	}
 	return true
+}
+
+// refAvoided reports whether o's device avoidance rules p out.
+func refAvoided(c *grid.Chip, o Options, p geom.Point) bool {
+	return o.AvoidDevices && c.DeviceAt(p) != nil && !slices.Contains(o.Exempt, p)
 }
 
 func refShortestPath(c *grid.Chip, src, dst geom.Point, o Options) (grid.Path, error) {
@@ -138,7 +144,7 @@ func refDistances(c *grid.Chip, src geom.Point, o Options) map[geom.Point]int {
 			if o.AvoidPorts && c.PortAt(n) != nil {
 				continue
 			}
-			if o.AvoidDevices != nil && o.AvoidDevices[n] {
+			if refAvoided(c, o, n) {
 				continue
 			}
 			queue = append(queue, n)

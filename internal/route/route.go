@@ -41,10 +41,14 @@ type Options struct {
 	// touch ports at their endpoints. Injection and removal paths must
 	// not flush through an unrelated port.
 	AvoidPorts bool
-	// AvoidDevices makes intermediate device cells unusable. Wash buffer
-	// must not flush through a device holding a fluid unless that device
-	// is itself a wash target.
-	AvoidDevices map[geom.Point]bool
+	// AvoidDevices makes intermediate device cells unusable, except the
+	// cells Exempt lists. Wash buffer must not flush through a device
+	// holding a fluid unless that device is itself a wash target.
+	AvoidDevices bool
+	// Exempt lists the device cells AvoidDevices leaves usable: a
+	// wash's targets, or the devices a transport runs between. Other
+	// cells in it are ignored.
+	Exempt []geom.Point
 }
 
 // Per-cell deny flags, built once per call from the chip and Options.
@@ -52,8 +56,9 @@ const (
 	// denyEnter: not routable, or Blocked. Only a route's destination
 	// may be such a cell, and only when it is routable.
 	denyEnter uint8 = 1 << iota
-	// denyPass: a port under AvoidPorts or an AvoidDevices cell. It may
-	// end a route (and gets a distance) but never carries one onward.
+	// denyPass: a port under AvoidPorts or a device cell under
+	// AvoidDevices. It may end a route (and gets a distance) but never
+	// carries one onward.
 	denyPass
 )
 
@@ -92,8 +97,11 @@ func (g cells) neighbours(i int32) [4]int32 {
 func (g cells) deny(o Options) []uint8 {
 	d := make([]uint8, g.w*g.h)
 	for i := range d {
-		if !g.c.Routable(g.point(int32(i))) {
+		switch p := g.point(int32(i)); {
+		case !g.c.Routable(p):
 			d[i] = denyEnter
+		case o.AvoidDevices && g.c.DeviceAt(p) != nil:
+			d[i] = denyPass
 		}
 	}
 	for p, b := range o.Blocked {
@@ -106,9 +114,11 @@ func (g cells) deny(o Options) []uint8 {
 			d[g.index(pt.At)] |= denyPass
 		}
 	}
-	for p, b := range o.AvoidDevices {
-		if b && g.c.InBounds(p) {
-			d[g.index(p)] |= denyPass
+	if o.AvoidDevices {
+		for _, p := range o.Exempt {
+			if g.c.DeviceAt(p) != nil { // a device cell is never a port
+				d[g.index(p)] &^= denyPass
+			}
 		}
 	}
 	return d

@@ -174,7 +174,7 @@ func TestAvoidDevices(t *testing.T) {
 	for _, cell := range d.Cells() {
 		avoid[cell] = true
 	}
-	p, err := ShortestPath(c, geom.Pt(0, 2), geom.Pt(6, 2), Options{AvoidDevices: avoid})
+	p, err := ShortestPath(c, geom.Pt(0, 2), geom.Pt(6, 2), Options{AvoidDevices: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +190,14 @@ func TestAvoidDevices(t *testing.T) {
 	}
 	if q.Len() >= p.Len() {
 		t.Fatalf("avoidance should cost length: %d vs %d", q.Len(), p.Len())
+	}
+	// Exempting the device's cells on the straight row makes it usable.
+	e, err := ShortestPath(c, geom.Pt(0, 2), geom.Pt(6, 2), Options{AvoidDevices: true, Exempt: []geom.Point{geom.Pt(3, 2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Len() != q.Len() {
+		t.Fatalf("exempt row route has %d cells, the straight one %d", e.Len(), q.Len())
 	}
 }
 

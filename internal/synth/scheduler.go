@@ -34,7 +34,7 @@ func buildSchedule(a *assay.Assay, chip *grid.Chip, binding map[string]*grid.Dev
 	if err != nil {
 		return nil, err
 	}
-	flushOpts := route.Options{AvoidPorts: true, AvoidDevices: allDeviceCells(chip)}
+	flushOpts := route.Options{AvoidPorts: true, AvoidDevices: true}
 
 	for _, opID := range order {
 		op := a.Op(opID)
@@ -194,16 +194,6 @@ func addRemoval(pl *schedule.Placer, chip *grid.Chip, opts route.Options,
 		return 0, err
 	}
 	return rm.End, nil
-}
-
-func allDeviceCells(chip *grid.Chip) map[geom.Point]bool {
-	m := map[geom.Point]bool{}
-	for _, d := range chip.Devices() {
-		for _, c := range d.Cells() {
-			m[c] = true
-		}
-	}
-	return m
 }
 
 func minInt(a, b int) int {

@@ -380,16 +380,11 @@ func routeComplete(chip *grid.Chip, src, dst *grid.Device, cp *solve.Checkpoint)
 	if err := cp.Check(); err != nil {
 		return grid.Path{}, budgetErr(err)
 	}
-	avoid := map[geom.Point]bool{}
-	for _, d := range chip.Devices() {
-		if d == src || d == dst {
-			continue
-		}
-		for _, c := range d.Cells() {
-			avoid[c] = true
-		}
+	exempt := dst.Cells()
+	if src != nil {
+		exempt = append(exempt, src.Cells()...)
 	}
-	rs := route.NewSearch(chip, route.Options{AvoidPorts: true, AvoidDevices: avoid})
+	rs := route.NewSearch(chip, route.Options{AvoidPorts: true, AvoidDevices: true, Exempt: exempt})
 
 	// Waypoints through the devices: enter src nearest to some flow
 	// port, exit towards dst, then on to the nearest waste port.

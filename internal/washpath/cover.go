@@ -84,13 +84,15 @@ func (cv *cover) chain(ctx context.Context, chip *grid.Chip, ch []geom.Point, op
 }
 
 // halves covers ch, which no single path covers (err says why), as its
-// first and second half along its order.
+// first and second half along its order. The first half is capped at
+// its length, so appending to one half's covered set never writes over
+// the other's.
 func (cv *cover) halves(ctx context.Context, chip *grid.Chip, ch []geom.Point, opts Options, err error) error {
 	if len(ch) == 1 {
 		return fmt.Errorf("washpath: cannot cover chain %v: %w", ch, err)
 	}
 	mid := len(ch) / 2
-	if err := cv.chain(ctx, chip, ch[:mid], opts); err != nil {
+	if err := cv.chain(ctx, chip, ch[:mid:mid], opts); err != nil {
 		return err
 	}
 	return cv.chain(ctx, chip, ch[mid:], opts)

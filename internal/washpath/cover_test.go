@@ -2,6 +2,7 @@ package washpath
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"pathdriverwash/internal/geom"
@@ -158,6 +159,66 @@ func TestBuildCoverDeviceAndChannel(t *testing.T) {
 	for _, cell := range targets {
 		if !seen[cell] {
 			t.Errorf("target %v uncovered", cell)
+		}
+	}
+}
+
+// barChip is a 6x4 chip whose bar (1,1)..(4,1) runs between two flow
+// ports, with a channel down from (2,1) and from (3,1) to a waste port
+// each. No path covers the whole bar, since both its ends lead only to
+// flow ports, but each half has one.
+func barChip(t *testing.T) *grid.Chip {
+	t.Helper()
+	c := grid.NewChip("bar", 6, 4)
+	for _, p := range []struct {
+		id   string
+		kind grid.PortKind
+		at   geom.Point
+	}{
+		{"in1", grid.FlowPort, geom.Pt(0, 1)},
+		{"in2", grid.FlowPort, geom.Pt(5, 1)},
+		{"out1", grid.WastePort, geom.Pt(2, 3)},
+		{"out2", grid.WastePort, geom.Pt(3, 3)},
+	} {
+		if _, err := c.AddPort(p.id, p.kind, p.at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []geom.Point{geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(3, 1), geom.Pt(4, 1), geom.Pt(2, 2), geom.Pt(3, 2)} {
+		if err := c.AddChannel(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestBuildCoverHalvesOwnTheirTargets covers the bar by halves and
+// requires that appending to one plan's covered set leaves every other
+// one as it was: the halves once shared one array, so a target appended
+// to the first half overwrote the second half's first target.
+func TestBuildCoverHalvesOwnTheirTargets(t *testing.T) {
+	c := barChip(t)
+	bar := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(3, 1), geom.Pt(4, 1)}
+	for _, exact := range []bool{false, true} {
+		plans, covered, err := BuildCoverContext(context.Background(), c, bar, Options{Exact: exact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plans) != 2 {
+			t.Fatalf("exact %v: %d plans, want the two halves", exact, len(plans))
+		}
+		for i := range covered {
+			before := make([][]geom.Point, len(covered))
+			for j := range covered {
+				before[j] = slices.Clone(covered[j])
+			}
+			_ = append(covered[i], geom.Pt(2, 2))
+			for j := range covered {
+				if !slices.Equal(covered[j], before[j]) {
+					t.Errorf("exact %v: appending to covered[%d] changed covered[%d] from %v to %v",
+						exact, i, j, before[j], covered[j])
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package washpath
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"pathdriverwash/internal/geom"
@@ -111,7 +112,8 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 		fpVar:   map[string]int{}, wpVar: map[string]int{},
 		heur: heur, haveHeur: haveHeur,
 	}
-	forbidden := forbiddenDevCells(chip, req.Targets)
+	// Device cells that are not targets are forbidden.
+	forbidden := func(p geom.Point) bool { return chip.DeviceAt(p) != nil && !slices.Contains(req.Targets, p) }
 
 	// Locality pruning: with a heuristic of length L, any cell of a
 	// shorter path lies within L hops of every target.
@@ -129,7 +131,7 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 			if err := cp.Err(); err != nil {
 				return nil, fmt.Errorf("washpath: %w during model build: %w", solve.ErrBudgetExceeded, err)
 			}
-			d := route.Distances(chip, t, route.Options{AvoidDevices: forbidden})
+			d := route.Distances(chip, t, route.Options{AvoidDevices: true, Exempt: req.Targets})
 			for i := range maxDist {
 				if dd, ok := d.At(geom.Pt(i%chip.W, i/chip.W)); ok && dd > maxDist[i] {
 					maxDist[i] = dd
@@ -149,7 +151,7 @@ func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.
 		if err := cp.Check(); err != nil {
 			return nil, fmt.Errorf("washpath: %w during model build: %w", solve.ErrBudgetExceeded, err)
 		}
-		if chip.PortAt(p) != nil || forbidden[p] {
+		if chip.PortAt(p) != nil || forbidden(p) {
 			continue
 		}
 		if near != nil && !near(p) {

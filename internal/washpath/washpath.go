@@ -139,29 +139,12 @@ func heuristic(chip *grid.Chip, req Request) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	o := route.Options{AvoidPorts: true, AvoidDevices: forbiddenDevCells(chip, req.Targets)}
+	o := route.Options{AvoidPorts: true, AvoidDevices: true, Exempt: req.Targets}
 	p, fp, wp, err := route.FlushPath(chip, chain, o)
 	if err != nil {
 		return Plan{}, err
 	}
 	return Plan{Path: p, FlowPort: fp, WastePort: wp}, nil
-}
-
-// forbiddenDevCells returns device cells that are not wash targets.
-func forbiddenDevCells(chip *grid.Chip, targets []geom.Point) map[geom.Point]bool {
-	tset := map[geom.Point]bool{}
-	for _, t := range targets {
-		tset[t] = true
-	}
-	out := map[geom.Point]bool{}
-	for _, d := range chip.Devices() {
-		for _, c := range d.Cells() {
-			if !tset[c] {
-				out[c] = true
-			}
-		}
-	}
-	return out
 }
 
 // chainBudget caps ChainOrder's search nodes over all starts.

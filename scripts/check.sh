@@ -75,6 +75,17 @@ if [ -n "$loops" ]; then
     echo "$loops" >&2
     exit 1
 fi
+# replan orders conflicting tasks through a cell -> tasks index (per-cell
+# chains and per-wash partners), so no pair-by-pair conflict scan may
+# come back outside the schedule package, whose placer tests one pair
+# at a time.
+scans=$(grep -rl --include='*.go' --exclude='*_test.go' 'ConflictCapable(' cmd internal pkg examples bench |
+    grep -v '^internal/schedule/' || true)
+if [ -n "$scans" ]; then
+    echo "only internal/schedule calls ConflictCapable; replan finds conflicts through its cell index; called from:" >&2
+    echo "$scans" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
