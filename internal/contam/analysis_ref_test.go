@@ -53,9 +53,6 @@ func analyzeMaps(s *schedule.Schedule, pol Policy) *Analysis {
 		switch t.Kind {
 		case schedule.Transport:
 			cells := t.SensitiveCells
-			if pol.FullPathUses {
-				cells = t.Path.Cells
-			}
 			if len(cells) > 0 {
 				// Residue of the destination op's other inputs is
 				// harmless: those fluids are about to be mixed anyway.

@@ -111,11 +111,8 @@ type Analysis struct {
 
 // Policy selects how conservatively contamination is judged. The zero
 // value is PDW's necessity analysis (Sec. II-A). The DAWO baseline and
-// the ablation benches use the conservative switches.
+// the ablation benches use the conservative switch.
 type Policy struct {
-	// FullPathUses makes a transport sensitive on its entire flow path
-	// (the literal Eq. 9 reading) instead of only its plug region.
-	FullPathUses bool
 	// IgnoreFluidTypes treats residue of any foreign task as
 	// contaminating even when the fluid types match, disabling the
 	// Type-2 skip.
@@ -250,9 +247,6 @@ func analyzeWithPolicy(cp *solve.Checkpoint, s *schedule.Schedule, pol Policy) (
 		switch t.Kind {
 		case schedule.Transport:
 			sensitive = t.SensitiveCells
-			if pol.FullPathUses {
-				sensitive = t.Path.Cells
-			}
 			// Residue of the destination op's other inputs is harmless:
 			// those fluids are about to be mixed anyway.
 			if len(sensitive) > 0 && !pol.IgnoreFluidTypes {

@@ -338,47 +338,6 @@ func TestRequirementString(t *testing.T) {
 	}
 }
 
-func TestFullPathUsesPolicy(t *testing.T) {
-	// A transport whose full path covers a residue cell outside its plug
-	// region: the default policy ignores it, the conservative full-path
-	// policy demands a wash.
-	c := lineChip(t)
-	a := assay.New("fp")
-	a.MustAddOp(&assay.Operation{ID: "o1", Kind: assay.Mix, Duration: 1, Output: "fa", Reagents: []assay.FluidType{"fa"}})
-	a.MustAddOp(&assay.Operation{ID: "o2", Kind: assay.Mix, Duration: 1, Output: "fb", Reagents: []assay.FluidType{"fb"}})
-	s := schedule.New(c, a)
-	full := grid.NewPath(seq(2, 0, 11)...)
-	// t1 contaminates cell (9,2), which lies on t2's full path but NOT
-	// in t2's plug region (cells 3..6).
-	s.MustAdd(&schedule.Task{
-		ID: "t1", Kind: schedule.Transport, Start: 0, End: 1, MinDuration: 1,
-		Path: full, Fluid: "fa",
-		ContamCells: seq(2, 9, 9), SensitiveCells: seq(2, 9, 9),
-	})
-	s.MustAdd(&schedule.Task{
-		ID: "t2", Kind: schedule.Transport, Start: 3, End: 4, MinDuration: 1,
-		Path: full, Fluid: "fb",
-		SensitiveCells: seq(2, 3, 6),
-	})
-	lax, err := Analyze(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lax.Requirements) != 0 {
-		t.Fatalf("plug-region policy should not demand a wash: %v", lax.Requirements)
-	}
-	cons, err := AnalyzeWithPolicy(s, Policy{FullPathUses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cons.Requirements) == 0 {
-		t.Fatal("full-path policy must demand a wash for (9,2)")
-	}
-	if cons.Requirements[0].Cell != geom.Pt(9, 2) {
-		t.Fatalf("requirement = %+v", cons.Requirements[0])
-	}
-}
-
 func TestIgnoreFluidTypesPolicy(t *testing.T) {
 	s := twoTransportSchedule(t, "fa", "fa", 3)
 	lax, err := Analyze(s)
@@ -421,30 +380,20 @@ func TestHeatmap(t *testing.T) {
 // schedule without a chip.
 func TestOffChipCellRejected(t *testing.T) {
 	for _, off := range []geom.Point{geom.Pt(12, 2), geom.Pt(-1, 2), geom.Pt(3, 5)} {
-		for _, tc := range []struct {
-			list string
-			pol  Policy
-		}{
-			{"contam", Policy{}},
-			{"sensitive", Policy{}},
-			{"path", Policy{FullPathUses: true}}, // a transport's uses
-			{"removal path", Policy{}},           // a waste carrier's uses
-		} {
+		for _, list := range []string{"contam", "sensitive", "removal path"} {
 			s := twoTransportSchedule(t, "fa", "fb", 3)
 			tk := s.Task("t2")
-			switch tc.list {
+			switch list {
 			case "contam":
 				tk.ContamCells = append(tk.ContamCells, off)
 			case "sensitive":
 				tk.SensitiveCells = append(tk.SensitiveCells, off)
-			case "removal path":
+			case "removal path": // a waste carrier's uses
 				tk.Kind = schedule.Removal
-				fallthrough
-			case "path":
 				tk.Path = grid.NewPath(append(tk.Path.Cells, off)...)
 			}
-			if _, err := AnalyzeWithPolicy(s, tc.pol); err == nil || !strings.Contains(err.Error(), "off the 12x5 chip") {
-				t.Errorf("%v in %s cells: error %v", off, tc.list, err)
+			if _, err := Analyze(s); err == nil || !strings.Contains(err.Error(), "off the 12x5 chip") {
+				t.Errorf("%v in %s cells: error %v", off, list, err)
 			}
 		}
 	}

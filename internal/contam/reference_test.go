@@ -17,8 +17,8 @@ import (
 	"pathdriverwash/internal/solve"
 )
 
-// policies are the four Policy settings.
-var policies = []contam.Policy{{}, {FullPathUses: true}, {IgnoreFluidTypes: true}, {FullPathUses: true, IgnoreFluidTypes: true}}
+// policies are the two Policy settings.
+var policies = []contam.Policy{{}, {IgnoreFluidTypes: true}}
 
 // sameAnalysis fails unless got and want hold the same events and skip
 // counts, and the same requirements in the same order; a requirement's

@@ -162,7 +162,9 @@ func TestDeadlineOverrunBounded(t *testing.T) {
 // slot that cannot finish inside remaining/(slots remaining) fails the
 // sweep with an error naming the slot — it is never resampled or
 // skipped, which would make the emitted corpus depend on machine speed
-// instead of the config alone.
+// instead of the config alone. The budgets are fractions of the time
+// slot 0 takes unconstrained on the running host, so the slot is
+// starved however fast the host and the solver are.
 func TestSweepSubDeadline(t *testing.T) {
 	cfg := SweepConfig{
 		Seed: 7, N: 1, MinOps: 16, MaxOps: 16,
@@ -170,6 +172,11 @@ func TestSweepSubDeadline(t *testing.T) {
 		Densities:   []float64{1},
 		ReagentRate: 8,
 	}
+	begin := time.Now()
+	if _, err := GenerateSweep(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	slot0 := time.Since(begin)
 	starved := func(budget time.Duration) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
@@ -190,18 +197,16 @@ func TestSweepSubDeadline(t *testing.T) {
 	// (whose heuristic fixpoint may finish its round after the
 	// deadline) ends after the sweep's own budget has expired. The
 	// error must still name it.
-	starved(50 * time.Millisecond)
+	starved(slot0 / 5)
 
 	if testing.Short() {
 		t.Skip("needs a deliberately starved multi-second washability probe")
 	}
-	// Three slots: slot 0's share of the sweep budget is 150ms/3 =
-	// 50 ms. Synthesis of this dense reagent-heavy 16-op draw takes
-	// about 23 ms and the whole washability probe about 125 ms, even
-	// in heuristic mode, so the starved slot must trip its
-	// sub-deadline, not sneak through.
+	// Three slots: slot 0's share of the sweep budget is a fifth of the
+	// time it takes, so the starved slot must trip its sub-deadline,
+	// not sneak through.
 	cfg.N = 3
-	starved(150 * time.Millisecond)
+	starved(3 * slot0 / 5)
 
 	// An already-exhausted budget fails before any slot runs.
 	expired, cancel2 := context.WithTimeout(context.Background(), time.Nanosecond)

@@ -51,36 +51,6 @@ func (p Path) CellSet() map[geom.Point]bool {
 	return s
 }
 
-// Overlaps reports whether the two paths share at least one cell.
-// Concurrent fluidic tasks with overlapping paths conflict (Eq. 8/19/20).
-func (p Path) Overlaps(q Path) bool {
-	if p.Len() == 0 || q.Len() == 0 {
-		return false
-	}
-	a, b := p, q
-	if a.Len() > b.Len() {
-		a, b = b, a
-	}
-	// Mark a's cells in a bitset over a's bounding box.
-	lo, hi := a.Cells[0], a.Cells[0]
-	for _, c := range a.Cells[1:] {
-		lo.X, lo.Y = min(lo.X, c.X), min(lo.Y, c.Y)
-		hi.X, hi.Y = max(hi.X, c.X), max(hi.Y, c.Y)
-	}
-	w := hi.X - lo.X + 1
-	var buf [64]uint64
-	bits := cellBits(&buf, w*(hi.Y-lo.Y+1))
-	for _, c := range a.Cells {
-		bits.set((c.Y-lo.Y)*w + c.X - lo.X)
-	}
-	for _, c := range b.Cells {
-		if c.X >= lo.X && c.X <= hi.X && c.Y >= lo.Y && c.Y <= hi.Y && bits.has((c.Y-lo.Y)*w+c.X-lo.X) {
-			return true
-		}
-	}
-	return false
-}
-
 // bitset is a set of small non-negative integers (cell indices).
 type bitset []uint64
 
@@ -96,19 +66,6 @@ func cellBits(buf *[64]uint64, n int) bitset {
 
 func (s bitset) set(i int)      { s[i/64] |= 1 << (i % 64) }
 func (s bitset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-
-// SharedCells returns the cells visited by both paths.
-func (p Path) SharedCells(q Path) []geom.Point {
-	set := p.CellSet()
-	var out []geom.Point
-	for _, c := range q.Cells {
-		if set[c] {
-			out = append(out, c)
-			delete(set, c) // report each shared cell once
-		}
-	}
-	return out
-}
 
 // CoveredBy reports whether every cell of p lies on q (l_p ⊆ l_q in
 // the ψ-integration test of Eq. 21).

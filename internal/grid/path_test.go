@@ -38,25 +38,6 @@ func TestPathBasics(t *testing.T) {
 	}
 }
 
-func TestPathOverlapsAndShared(t *testing.T) {
-	a := NewPath(line(0, 0, 5)...)
-	b := NewPath(geom.Pt(3, 2), geom.Pt(3, 1), geom.Pt(3, 0), geom.Pt(4, 0))
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("paths should overlap")
-	}
-	sh := a.SharedCells(b)
-	if len(sh) != 2 {
-		t.Fatalf("SharedCells = %v", sh)
-	}
-	c := NewPath(line(3, 0, 5)...)
-	if a.Overlaps(c) {
-		t.Error("disjoint paths should not overlap")
-	}
-	if a.Overlaps(NewPath()) || NewPath().Overlaps(a) {
-		t.Error("empty path overlaps nothing")
-	}
-}
-
 func TestPathCoveredByAndCovers(t *testing.T) {
 	whole := NewPath(line(0, 0, 6)...)
 	part := NewPath(line(0, 2, 4)...)
@@ -208,36 +189,6 @@ func TestCellSetQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOverlapsQuick checks Overlaps against the pairwise definition on
-// arbitrary cell lists, including ones whose bounding box is too large
-// for the stack-backed bitset.
-func TestOverlapsQuick(t *testing.T) {
-	cells := func(xs, ys []int8, scale int) []geom.Point {
-		var out []geom.Point
-		for i := range min(len(xs), len(ys)) {
-			out = append(out, geom.Pt(int(xs[i])%5*scale, int(ys[i])%5*scale))
-		}
-		return out
-	}
-	f := func(ax, ay, bx, by []int8, wide bool) bool {
-		scale := 1
-		if wide {
-			scale = 40 // a bounding box of up to 321x321 cells
-		}
-		a, b := NewPath(cells(ax, ay, scale)...), NewPath(cells(bx, by, scale)...)
-		want := false
-		for _, p := range a.Cells {
-			if b.Contains(p) {
-				want = true
-			}
-		}
-		return a.Overlaps(b) == want && b.Overlaps(a) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

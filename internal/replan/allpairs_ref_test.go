@@ -1,13 +1,37 @@
 package replan
 
 import (
+	"slices"
+
+	"pathdriverwash/internal/geom"
+	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/schedule"
 )
 
-// The all-pairs plan builder that the resource index replaced, kept as
-// the reference of the differential tests: buildAllPairs returns the
-// plan Build returned before, with one edge per conflict-capable base
-// pair and the free pairs found by testing every pair with a wash.
+// The all-pairs plan builder that the cell index replaced, kept as the
+// reference of the differential tests: buildAllPairs returns the plan
+// Build returned before, with one edge per conflict-capable base pair
+// and the free pairs found by testing every pair with a wash.
+
+// conflictCapable is the pairwise resource rule the cell index replaced:
+// the same device for two operations, a shared cell for two paths, and
+// a path through the operation's device for a mixed pair.
+func conflictCapable(chip *grid.Chip, t, u *schedule.Task) bool {
+	crosses := func(p grid.Path, d *grid.Device) bool {
+		return d != nil && slices.ContainsFunc(p.Cells, func(c geom.Point) bool { return chip.DeviceAt(c) == d })
+	}
+	tf, uf := t.Kind.Fluidic(), u.Kind.Fluidic()
+	switch {
+	case !tf && !uf:
+		return t.Device == u.Device
+	case tf && uf:
+		return slices.ContainsFunc(t.Path.Cells, u.Path.Contains)
+	case tf:
+		return crosses(t.Path, u.Device)
+	default:
+		return crosses(u.Path, t.Device)
+	}
+}
 
 // buildAllPairs is Build with the all-pairs base order and free pairs.
 func buildAllPairs(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
@@ -15,7 +39,6 @@ func buildAllPairs(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := schedule.NewPlacer(base)
 	bt := p.Tasks[:len(p.Tasks)-len(washes)] // base.SortedByStart() order
 	for i := 0; i < len(bt); i++ {
 		for j := i + 1; j < len(bt); j++ {
@@ -24,7 +47,7 @@ func buildAllPairs(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 			if !a.Active() || !b.Active() {
 				continue
 			}
-			if !pl.ConflictCapable(a, b) {
+			if !conflictCapable(base.Chip, a, b) {
 				continue
 			}
 			first, second := a, b
@@ -51,7 +74,6 @@ func buildAllPairs(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 // reachable leaves unordered in either direction, testing every pair.
 func (p *Plan) refFreePairs(reachable func(i, j int) bool) [][2]int {
 	var out [][2]int
-	pl := schedule.NewPlacer(p.Base)
 	n := len(p.Tasks)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -62,7 +84,7 @@ func (p *Plan) refFreePairs(reachable func(i, j int) bool) [][2]int {
 			if !a.Active() || !b.Active() {
 				continue
 			}
-			if !pl.ConflictCapable(a, b) {
+			if !conflictCapable(p.Base.Chip, a, b) {
 				continue
 			}
 			if reachable(i, j) || reachable(j, i) {

@@ -67,7 +67,7 @@ func Build(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, err := newResourceIndex(p)
+	x, err := schedule.IndexCells(base.Chip, p.Tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -247,75 +247,15 @@ func (p *Plan) buildEdges(integrated map[string]string) error {
 	return nil
 }
 
-// resourceIndex maps the plan's active tasks to the cells they hold and
-// back. Cells are the chip's dense indices y·W+x. An operation holds
-// its device's cells and a fluidic task its path's cells, so two tasks
-// are conflict-capable (schedule.Placer.ConflictCapable) exactly when
-// they hold a common cell.
-type resourceIndex struct {
-	// held[heldAt[i]:heldAt[i+1]] are task i's cells, each once.
-	heldAt, held []int32
-	// users[c] are the tasks holding cell c, in task order.
-	users [][]int32
-}
-
-func (x *resourceIndex) cells(i int) []int32 { return x.held[x.heldAt[i]:x.heldAt[i+1]] }
-
-// newResourceIndex indexes the active tasks of p. It rejects a cell off
-// the chip and an operation without a device, neither of which a valid
-// schedule holds.
-func newResourceIndex(p *Plan) (*resourceIndex, error) {
-	chip := p.Base.Chip
-	cells := chip.W * chip.H
-	x := &resourceIndex{heldAt: make([]int32, len(p.Tasks)+1)}
-	listed := make([]int32, cells) // listed[c] == i+1: c is already among task i's cells
-	for i, t := range p.Tasks {
-		hold := func(pt geom.Point) error {
-			if !chip.InBounds(pt) {
-				return fmt.Errorf("replan: task %s holds cell %v off the %dx%d chip", t.ID, pt, chip.W, chip.H)
-			}
-			if c := int32(pt.Y*chip.W + pt.X); listed[c] != int32(i+1) {
-				listed[c] = int32(i + 1)
-				x.held = append(x.held, c)
-			}
-			return nil
-		}
-		switch {
-		case !t.Active():
-		case t.Kind.Fluidic():
-			for _, pt := range t.Path.Cells {
-				if err := hold(pt); err != nil {
-					return nil, err
-				}
-			}
-		case t.Device == nil:
-			return nil, fmt.Errorf("replan: operation %s has no device", t.ID)
-		default:
-			for _, pt := range t.Device.Cells() {
-				if err := hold(pt); err != nil {
-					return nil, err
-				}
-			}
-		}
-		x.heldAt[i+1] = int32(len(x.held))
-	}
-	x.users = make([][]int32, cells)
-	for i := range p.Tasks {
-		for _, c := range x.cells(i) {
-			x.users[c] = append(x.users[c], int32(i))
-		}
-	}
-	return x, nil
-}
-
 // chainBase orders the active base tasks (the first nBase) that share a
-// cell: on each cell, every user precedes the next one in base order,
-// so each conflict-capable pair is ordered through the chain of a cell
-// both hold. Base order is the tasks' (start, end, ID) order, except
-// that zero-duration tasks starting together run in descending ID, the
-// order the former one-edge-per-pair rule gave them (it put the pair's
-// second task first whenever that one ended by the first one's start).
-func (p *Plan) chainBase(x *resourceIndex, nBase int) error {
+// cell: on each cell, every holder precedes the next one in base order,
+// so each conflict-capable pair (two tasks holding a common cell, see
+// schedule.CellIndex) is ordered through the chain of a cell both hold.
+// Base order is the tasks' (start, end, ID) order, except that
+// zero-duration tasks starting together run in descending ID, the order
+// the former one-edge-per-pair rule gave them (it put the pair's second
+// task first whenever that one ended by the first one's start).
+func (p *Plan) chainBase(x *schedule.CellIndex, nBase int) error {
 	order := make([]int, 0, nBase)
 	for i, t := range p.Tasks[:nBase] {
 		if !t.Active() {
@@ -334,9 +274,9 @@ func (p *Plan) chainBase(x *resourceIndex, nBase int) error {
 		slices.Reverse(order[lo:hi])
 		lo = hi
 	}
-	last := make([]int32, len(x.users)) // last[c]: the previous user of c, plus one
+	last := make([]int32, p.Base.Chip.W*p.Base.Chip.H) // last[c]: the previous holder of c, plus one
 	for _, i := range order {
-		for _, c := range x.cells(i) {
+		for _, c := range x.Held(i) {
 			if l := last[c]; l > 0 {
 				p.Edges = append(p.Edges, [2]int{int(l - 1), i})
 			}
@@ -420,13 +360,13 @@ func removalTransportID(rmID, from, to string) (string, bool) {
 // unordered, in (i, j) order. Base pairs are all ordered, so each free
 // pair involves a wash, and as washes come last, its second task is
 // one: each wash's cells name its partners.
-func (p *Plan) buildFreePairs(x *resourceIndex, nBase int) {
+func (p *Plan) buildFreePairs(x *schedule.CellIndex, nBase int) {
 	reach := p.reachability()
 	n := len(p.Tasks)
 	met := make([]int32, n) // met[i] == j+1: i is already a partner of wash j
 	for j := nBase; j < n; j++ {
-		for _, c := range x.cells(j) {
-			for _, u := range x.users[c] {
+		for _, c := range x.Held(j) {
+			for _, u := range x.Holders(c) {
 				i := int(u)
 				if i >= j {
 					break // a later task pairs with j from its own cells

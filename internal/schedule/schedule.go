@@ -8,7 +8,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -393,47 +395,60 @@ func (s *Schedule) validatePrecedence() error {
 	return nil
 }
 
+// validateExclusivity checks that no two tasks holding a common cell
+// run at once: device exclusivity (Eq. 3), no shared path cell between
+// concurrent fluidic tasks (Eqs. 8, 19, 20), and no flush through a
+// device while an operation executes on it. It sweeps the tasks in
+// (start, end) order and checks each cell a task holds against the
+// swept holder of that cell that ends last: if any swept holder
+// overlaps the task, that one does.
 func (s *Schedule) validateExclusivity() error {
-	// Device exclusivity (Eq. 3).
-	ops := s.TasksOf(Operation)
-	for i := 0; i < len(ops); i++ {
-		for j := i + 1; j < len(ops); j++ {
-			if ops[i].Device == ops[j].Device && ops[i].Overlaps(ops[j]) {
-				return fmt.Errorf("schedule: ops %s and %s overlap on device %s (Eq. 3)", ops[i].ID, ops[j].ID, ops[i].Device.ID)
-			}
-		}
+	order := make([]int, len(s.tasks))
+	for i := range order {
+		order[i] = i
 	}
-	// Fluid path conflicts (Eqs. 8, 19, 20).
-	var fl []*Task
-	for _, t := range s.tasks {
-		if t.Kind.Fluidic() && t.Active() {
-			fl = append(fl, t)
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := s.tasks[i], s.tasks[j]
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End), cmp.Compare(i, j))
+	})
+	// The sweep only stages each task's cells, so it needs no holder lists.
+	x := &CellIndex{chip: s.Chip, heldAt: []int32{0}, stamp: make([]uint32, s.Chip.W*s.Chip.H)}
+	last := make([]int32, len(x.stamp)) // last[c]: the latest-ending swept holder of c, plus one
+	for _, j := range order {
+		b := s.tasks[j]
+		cells, err := x.stage(b)
+		if err != nil {
+			return err
 		}
-	}
-	for i := 0; i < len(fl); i++ {
-		for j := i + 1; j < len(fl); j++ {
-			if fl[i].Overlaps(fl[j]) && fl[i].Path.Overlaps(fl[j].Path) {
-				sh := fl[i].Path.SharedCells(fl[j].Path)
-				return fmt.Errorf("schedule: tasks %s and %s both occupy %v during [%d,%d)x[%d,%d)",
-					fl[i].ID, fl[j].ID, sh[0], fl[i].Start, fl[i].End, fl[j].Start, fl[j].End)
+		for _, c := range cells {
+			l := int(last[c]) - 1
+			if l >= 0 && s.tasks[l].Overlaps(b) {
+				return exclusivityError(s.tasks[min(l, j)], s.tasks[max(l, j)])
 			}
-		}
-	}
-	// A fluidic task flushing through a device must not overlap an
-	// operation executing on that device.
-	for _, f := range fl {
-		for _, o := range ops {
-			if !f.Overlaps(o) {
-				continue
-			}
-			for _, cell := range f.Path.Cells {
-				if d := s.Chip.DeviceAt(cell); d != nil && d == o.Device {
-					return fmt.Errorf("schedule: task %s flushes through device %s while op %s executes on it", f.ID, d.ID, o.ID)
-				}
+			if l < 0 || s.tasks[l].End < b.End {
+				last[c] = int32(j + 1)
 			}
 		}
 	}
 	return nil
+}
+
+// exclusivityError names the resource that a and b, a added first,
+// contend for while their windows overlap.
+func exclusivityError(a, b *Task) error {
+	switch {
+	case !a.Kind.Fluidic() && !b.Kind.Fluidic():
+		return fmt.Errorf("schedule: ops %s and %s overlap on device %s (Eq. 3)", a.ID, b.ID, a.Device.ID)
+	case a.Kind.Fluidic() && b.Kind.Fluidic():
+		c := b.Path.Cells[slices.IndexFunc(b.Path.Cells, a.Path.Contains)]
+		return fmt.Errorf("schedule: tasks %s and %s both occupy %v during [%d,%d)x[%d,%d)",
+			a.ID, b.ID, c, a.Start, a.End, b.Start, b.End)
+	}
+	f, o := a, b
+	if o.Kind.Fluidic() {
+		f, o = b, a
+	}
+	return fmt.Errorf("schedule: task %s flushes through device %s while op %s executes on it", f.ID, o.Device.ID, o.ID)
 }
 
 // Metrics aggregates the evaluation quantities of Table II and Figs. 4-5.

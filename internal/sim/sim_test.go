@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -150,7 +151,7 @@ func TestFailureInjection(t *testing.T) {
 		for j := i + 1; j < len(ts); j++ {
 			a, b := ts[i], ts[j]
 			if a.Kind.Fluidic() && b.Kind.Fluidic() && a.Active() && b.Active() &&
-				a.Path.Overlaps(b.Path) && !a.Overlaps(b) {
+				slices.ContainsFunc(a.Path.Cells, b.Path.Contains) && !a.Overlaps(b) {
 				b.Start, b.End = a.Start, a.Start+b.MinDuration
 				moved = true
 				break

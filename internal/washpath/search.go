@@ -12,14 +12,10 @@ import (
 	"pathdriverwash/internal/solve"
 )
 
-// Telemetry handles, resolved once at package load. The span, the
-// pdw_washpath_* counters and the "wash-path[<N>t r0]" label keep the
-// names of the ILP the search replaced; the search has no cut rounds,
-// so that counter stays at zero.
-var (
-	buildsTotal = obs.Default().Counter("pdw_washpath_ilps_total")
-	_           = obs.Default().Counter("pdw_washpath_cut_rounds_total")
-)
+// buildsTotal counts path searches, resolved once at package load. The
+// span, the counter and the "wash-path[<N>t r0]" label keep the names of
+// the ILP the search replaced.
+var buildsTotal = obs.Default().Counter("pdw_washpath_ilps_total")
 
 // searchPath finds the shortest Eqs. 12-15 path over the targets that
 // is shorter than heur (nil: no heuristic), under opts.TimeLimit and

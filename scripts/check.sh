@@ -75,14 +75,12 @@ if [ -n "$loops" ]; then
     echo "$loops" >&2
     exit 1
 fi
-# replan orders conflicting tasks through a cell -> tasks index (per-cell
-# chains and per-wash partners), so no pair-by-pair conflict scan may
-# come back outside the schedule package, whose placer tests one pair
-# at a time.
-scans=$(grep -rl --include='*.go' --exclude='*_test.go' 'ConflictCapable(' cmd internal pkg examples bench |
-    grep -v '^internal/schedule/' || true)
+# Which chip cells a task holds is decided once, by schedule.CellIndex,
+# which the placer, the validator and replan all read: no pair-by-pair
+# conflict test may come back in non-test code.
+scans=$(grep -rlE --include='*.go' --exclude='*_test.go' 'ConflictCapable\(|\.Path\.Overlaps\(' cmd internal pkg examples bench || true)
 if [ -n "$scans" ]; then
-    echo "only internal/schedule calls ConflictCapable; replan finds conflicts through its cell index; called from:" >&2
+    echo "tasks contend for resources only through schedule.CellIndex; ConflictCapable( or .Path.Overlaps( called from:" >&2
     echo "$scans" >&2
     exit 1
 fi
