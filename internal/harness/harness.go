@@ -159,20 +159,6 @@ func clampNonNegative(v int) int {
 	return v
 }
 
-// RunAll executes all Table II benchmarks sequentially and returns
-// their outcomes in paper order.
-func RunAll(opts Options) ([]*Outcome, error) {
-	return Run(context.Background(), benchmarks.All(), opts, 1)
-}
-
-// RunAllParallel executes the benchmarks on a worker pool with at most
-// workers goroutines (0 selects GOMAXPROCS). Every benchmark run is
-// self-contained and deterministic, so the outcomes match RunAll; only
-// the per-run wall-clock measurements change under CPU contention.
-func RunAllParallel(opts Options, workers int) ([]*Outcome, error) {
-	return Run(context.Background(), benchmarks.All(), opts, workers)
-}
-
 // Run executes the given benchmarks on a bounded worker pool and
 // returns their outcomes in input order. workers caps pool size; 0 (or
 // any non-positive value) selects GOMAXPROCS, and the pool never grows

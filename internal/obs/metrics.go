@@ -309,11 +309,3 @@ func (r *Registry) Snapshot() map[string]float64 {
 	}
 	return out
 }
-
-// Reset drops every registered metric. Tests only: handles obtained
-// before Reset keep updating their detached metric.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.families = map[string]*family{}
-	r.mu.Unlock()
-}

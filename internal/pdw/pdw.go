@@ -233,7 +233,7 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	}
 	res.Schedule = final
 	m := final.ComputeMetrics(base)
-	res.Objective = opts.Alpha*float64(m.NWash) + opts.Beta*m.LWashMM + opts.Gamma*float64(m.TAssay)
+	res.Objective = Objective(m, opts.Alpha, opts.Beta, opts.Gamma)
 	if span != nil {
 		span.SetAttr("rounds", res.Rounds)
 		span.SetAttr("washes", len(res.Washes))
@@ -307,8 +307,8 @@ func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Sch
 			}
 			for _, st := range states {
 				// Eq. 21 window: wash after the transport, before the op.
-				nr := maxI(st.ready, tr.End)
-				nd := minI(st.deadline, user.Start)
+				nr := max(st.ready, tr.End)
+				nd := min(st.deadline, user.Start)
 				if nr >= nd {
 					continue
 				}
@@ -406,20 +406,6 @@ func appendUnique(s []string, v string) []string {
 		}
 	}
 	return append(s, v)
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Objective evaluates Eq. 26 for a finished schedule.

@@ -55,7 +55,7 @@ type windowModel struct {
 	// + dur[a]: the plan's precedence edges and the hazard pairs pinned
 	// to the greedy order.
 	arcs [][2]int
-	// free are the disjunctions left to the search, in plan.FreePairs
+	// free are the disjunctions left to the search, in plan.FreePairs()
 	// order: either order of the pair, never overlapping.
 	free [][2]int
 	// greedy are the greedy schedule's starts, the first incumbent.
@@ -77,7 +77,7 @@ func newWindowModel(plan *replan.Plan, greedy *schedule.Schedule) *windowModel {
 		m.active[i] = t.Active()
 		m.greedy[i], gEnd[i] = g.Start, g.End
 	}
-	for _, pr := range plan.FreePairs {
+	for _, pr := range plan.FreePairs() {
 		a, b := pr[0], pr[1]
 		if !hazardPair(plan.Tasks[a], plan.Tasks[b]) {
 			m.free = append(m.free, pr)
@@ -492,16 +492,12 @@ func CompressBase(base *schedule.Schedule) (*schedule.Schedule, error) {
 // later start means the greedy placer waited on a conflict-capable
 // pair the DAG leaves unordered.
 func checkEarliestStarts(plan *replan.Plan, s *schedule.Schedule) error {
-	order, err := plan.TopoOrder()
-	if err != nil {
-		return err
-	}
 	succs := make([][]int, len(plan.Tasks))
 	for _, e := range plan.Edges {
 		succs[e[0]] = append(succs[e[0]], e[1])
 	}
 	earliest := make([]int, len(plan.Tasks))
-	for _, i := range order {
+	for _, i := range plan.Order {
 		id := plan.Tasks[i].ID
 		if got := s.Task(id).Start; got != earliest[i] {
 			return fmt.Errorf("pdw: reference task %s starts at %d, not at its longest-path start %d", id, got, earliest[i])

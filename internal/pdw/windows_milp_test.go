@@ -63,7 +63,7 @@ func optimizeWindowsMILP(ctx context.Context, plan *replan.Plan, greedy *schedul
 		bvar int
 	}
 	var free []freePair
-	for _, pr := range plan.FreePairs {
+	for _, pr := range plan.FreePairs() {
 		i, j := pr[0], pr[1]
 		if hazardPair(plan.Tasks[i], plan.Tasks[j]) {
 			a, b := i, j

@@ -10,8 +10,9 @@ import (
 
 // The all-pairs plan builder that the cell index replaced, kept as the
 // reference of the differential tests: buildAllPairs returns the plan
-// Build returned before, with one edge per conflict-capable base pair
-// and the free pairs found by testing every pair with a wash.
+// Build returned before, with one edge per conflict-capable base pair,
+// ordered by the reference sort, and the free pairs found by testing
+// every pair with a wash.
 
 // conflictCapable is the pairwise resource rule the cell index replaced:
 // the same device for two operations, a shared cell for two paths, and
@@ -33,11 +34,12 @@ func conflictCapable(chip *grid.Chip, t, u *schedule.Task) bool {
 	}
 }
 
-// buildAllPairs is Build with the all-pairs base order and free pairs.
-func buildAllPairs(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
+// buildAllPairs is Build with the all-pairs base order, returning the
+// plan's free pairs too.
+func buildAllPairs(base *schedule.Schedule, washes []WashSpec) (*Plan, [][2]int, error) {
 	p, err := assemble(base, washes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bt := p.Tasks[:len(p.Tasks)-len(washes)] // base.SortedByStart() order
 	for i := 0; i < len(bt); i++ {
@@ -66,8 +68,10 @@ func buildAllPairs(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 		}
 	}
 	p.Edges = out
-	p.FreePairs = p.refFreePairs(p.reachability().has)
-	return p, nil
+	if p.Order, err = p.topoOrderRef(); err != nil {
+		return nil, nil, err
+	}
+	return p, p.refFreePairs(p.reachability().has), nil
 }
 
 // refFreePairs lists the conflict-capable pairs with a wash that

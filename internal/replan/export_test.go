@@ -7,10 +7,13 @@ import (
 	"pathdriverwash/internal/schedule"
 )
 
-// CheckClosure compares the plan's bitset closure with the map-based
-// reference pair by pair, and its FreePairs with the pairs the
-// reference closure leaves free.
+// CheckClosure compares the plan's Order with the reference sort, its
+// bitset closure with the map-based reference pair by pair, and its
+// FreePairs with the pairs the reference closure leaves free.
 func CheckClosure(p *Plan) error {
+	if err := checkOrder(p); err != nil {
+		return err
+	}
 	ref := p.reachabilityMap()
 	got := p.reachability()
 	for i := range p.Tasks {
@@ -22,24 +25,28 @@ func CheckClosure(p *Plan) error {
 		}
 	}
 	want := p.refFreePairs(func(i, j int) bool { return ref[i][j] })
-	if !slices.Equal(p.FreePairs, want) {
-		return fmt.Errorf("free pairs %v, map closure gives %v", p.FreePairs, want)
+	if free := p.FreePairs(); !slices.Equal(free, want) {
+		return fmt.Errorf("free pairs %v, map closure gives %v", free, want)
 	}
 	return nil
 }
 
 // CheckAllPairs builds the plan of base and washes with Build and with
-// the all-pairs reference and compares them: the same error, every
-// Build edge among the reference's, the same closure, the same free
-// pairs in the same order, and the same greedy schedule.
+// the all-pairs reference and compares them: the same error, Build's
+// Order equal to the reference sort of its edges, every Build edge
+// among the reference's, the same closure, the same free pairs in the
+// same order, and the same greedy schedule.
 func CheckAllPairs(base *schedule.Schedule, washes []WashSpec) error {
 	got, err := Build(base, washes)
-	want, werr := buildAllPairs(base, washes)
+	want, wantFree, werr := buildAllPairs(base, washes)
 	if (err == nil) != (werr == nil) {
 		return fmt.Errorf("Build error %v, reference %v", err, werr)
 	}
 	if err != nil {
 		return nil
+	}
+	if err := checkOrder(got); err != nil {
+		return err
 	}
 	ref := map[[2]int]bool{}
 	for _, e := range want.Edges {
@@ -58,8 +65,8 @@ func CheckAllPairs(base *schedule.Schedule, washes []WashSpec) error {
 			}
 		}
 	}
-	if !slices.Equal(got.FreePairs, want.FreePairs) {
-		return fmt.Errorf("free pairs %v, reference %v", got.FreePairs, want.FreePairs)
+	if free := got.FreePairs(); !slices.Equal(free, wantFree) {
+		return fmt.Errorf("free pairs %v, reference %v", free, wantFree)
 	}
 	gs, err := got.Greedy()
 	ws, werr := want.Greedy()

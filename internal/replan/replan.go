@@ -43,7 +43,7 @@ type WashSpec struct {
 }
 
 // Plan is the rebuilt problem: tasks (base clones plus washes), the
-// precedence DAG, and the conflict pairs whose order stays free.
+// precedence DAG and one topological order of it.
 type Plan struct {
 	Base   *schedule.Schedule
 	Washes []WashSpec
@@ -54,14 +54,19 @@ type Plan struct {
 	Index map[string]int
 	// Durations are the execution durations (0 for integrated removals).
 	Durations []int
-	// Edges are precedence pairs (i before j): end_i <= start_j.
+	// Edges are precedence pairs (i before j): end_i <= start_j, sorted
+	// and without duplicates.
 	Edges [][2]int
-	// FreePairs are conflict-capable pairs whose order the optimizer may
-	// choose (each involves at least one wash).
-	FreePairs [][2]int
+	// Order lists task indices topologically sorted by Edges, ties
+	// broken by base start time then ID.
+	Order []int
+
+	// cells is the index of the chip cells each task holds.
+	cells *schedule.CellIndex
 }
 
-// Build assembles the plan.
+// Build assembles the plan. It fails when the edges close a cycle,
+// naming one.
 func Build(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 	p, err := assemble(base, washes)
 	if err != nil {
@@ -79,7 +84,10 @@ func Build(base *schedule.Schedule, washes []WashSpec) (*Plan, error) {
 	}
 	slices.SortFunc(p.Edges, cmpPair)
 	p.Edges = slices.Compact(p.Edges)
-	p.buildFreePairs(x, nBase)
+	p.cells = x
+	if err := p.sortTopologically(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -181,7 +189,7 @@ func (p *Plan) buildEdges(integrated map[string]string) error {
 			// After its transport, before the consumer op. The matching
 			// transport is tr-<from>-<to> or inj-<to>-<i>; removals for
 			// injections are named rm-inj-<op>-<i>.
-			trID, ok := removalTransportID(t.ID, t.EdgeFrom, t.EdgeTo)
+			trID, ok := TransportIDForRemoval(t.ID, t.EdgeFrom, t.EdgeTo)
 			if !ok {
 				return fmt.Errorf("replan: cannot derive transport for removal %s", t.ID)
 			}
@@ -340,12 +348,6 @@ func (p *Plan) strengthenBefore(base *schedule.Schedule, w *WashSpec) []string {
 // TransportIDForRemoval reconstructs the transport task ID a removal
 // follows. Removal IDs are rm-<from>-<to> or rm-inj-<op>-<i>.
 func TransportIDForRemoval(rmID, from, to string) (string, bool) {
-	return removalTransportID(rmID, from, to)
-}
-
-// removalTransportID reconstructs the transport task ID a removal
-// follows. Removal IDs are rm-<from>-<to> or rm-inj-<op>-<i>.
-func removalTransportID(rmID, from, to string) (string, bool) {
 	if from != "" {
 		return "tr-" + from + "-" + to, true
 	}
@@ -356,17 +358,20 @@ func removalTransportID(rmID, from, to string) (string, bool) {
 	return "", false
 }
 
-// buildFreePairs finds the conflict-capable pairs the DAG leaves
-// unordered, in (i, j) order. Base pairs are all ordered, so each free
-// pair involves a wash, and as washes come last, its second task is
-// one: each wash's cells name its partners.
-func (p *Plan) buildFreePairs(x *schedule.CellIndex, nBase int) {
+// FreePairs returns the conflict-capable pairs the DAG leaves
+// unordered, in (i, j) order: the disjunctions of the time-window
+// model, whose orders the optimizer may choose. Base pairs are all
+// ordered, so each free pair involves a wash, and as washes come last,
+// its second task is one: each wash's cells name its partners. The
+// pairs are derived on each call through the transitive closure.
+func (p *Plan) FreePairs() [][2]int {
 	reach := p.reachability()
 	n := len(p.Tasks)
+	var out [][2]int
 	met := make([]int32, n) // met[i] == j+1: i is already a partner of wash j
-	for j := nBase; j < n; j++ {
-		for _, c := range x.Held(j) {
-			for _, u := range x.Holders(c) {
+	for j := n - len(p.Washes); j < n; j++ {
+		for _, c := range p.cells.Held(j) {
+			for _, u := range p.cells.Holders(c) {
 				i := int(u)
 				if i >= j {
 					break // a later task pairs with j from its own cells
@@ -376,12 +381,13 @@ func (p *Plan) buildFreePairs(x *schedule.CellIndex, nBase int) {
 				}
 				met[i] = int32(j + 1)
 				if !reach.has(i, j) && !reach.has(j, i) {
-					p.FreePairs = append(p.FreePairs, [2]int{i, j})
+					out = append(out, [2]int{i, j})
 				}
 			}
 		}
 	}
-	slices.SortFunc(p.FreePairs, cmpPair)
+	slices.SortFunc(out, cmpPair)
+	return out
 }
 
 // cmpPair orders task index pairs lexicographically.
@@ -400,62 +406,32 @@ func (c closure) has(i, j int) bool {
 }
 
 // reachability computes the transitive closure of the precedence
-// edges. Rows are filled in reverse topological order, so on a DAG the
-// second sweep only confirms the first; a cyclic plan (which Greedy
-// rejects, naming the cycle) needs more sweeps, and since rows only
-// gain bits the loop still ends.
+// edges in one pass over Order, last task first, so that each
+// successor's row is complete before its predecessors read it.
 func (p *Plan) reachability() closure {
 	n := len(p.Tasks)
-	adj := make([][]int, n)
-	indeg := make([]int, n)
+	succs := make([][]int, n)
 	for _, e := range p.Edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		indeg[e[1]]++
-	}
-	order := make([]int, 0, n)
-	for i := range n {
-		if indeg[i] == 0 {
-			order = append(order, i)
-		}
-	}
-	for h := 0; h < len(order); h++ {
-		for _, j := range adj[order[h]] {
-			if indeg[j]--; indeg[j] == 0 {
-				order = append(order, j)
-			}
-		}
-	}
-	for i := range n { // tasks on or behind a cycle, in index order
-		if indeg[i] > 0 {
-			order = append(order, i)
-		}
+		succs[e[0]] = append(succs[e[0]], e[1])
 	}
 	c := closure{words: (n + 63) / 64}
 	c.bits = make([]uint64, n*c.words)
-	for changed := true; changed; {
-		changed = false
-		for k := n - 1; k >= 0; k-- {
-			i := order[k]
-			row := c.bits[i*c.words : (i+1)*c.words]
-			for _, j := range adj[i] {
-				before := row[j/64]
-				row[j/64] |= 1 << (j % 64)
-				changed = changed || row[j/64] != before
-				for w, bits := range c.bits[j*c.words : (j+1)*c.words] {
-					if row[w]|bits != row[w] {
-						row[w] |= bits
-						changed = true
-					}
-				}
+	for k := n - 1; k >= 0; k-- {
+		i := p.Order[k]
+		row := c.bits[i*c.words : (i+1)*c.words]
+		for _, j := range succs[i] {
+			row[j/64] |= 1 << (j % 64)
+			for w, bits := range c.bits[j*c.words : (j+1)*c.words] {
+				row[w] |= bits
 			}
 		}
 	}
 	return c
 }
 
-// TopoOrder returns task indices topologically sorted by the DAG, ties
-// broken by base start time then ID. It fails on cycles.
-func (p *Plan) TopoOrder() ([]int, error) {
+// sortTopologically fills Order by Kahn's algorithm, taking the ready
+// task with the lowest (base start, ID) first. It fails on cycles.
+func (p *Plan) sortTopologically() error {
 	n := len(p.Tasks)
 	indeg := make([]int, n)
 	adj := make([][]int, n)
@@ -476,12 +452,12 @@ func (p *Plan) TopoOrder() ([]int, error) {
 		}
 		return ta.ID < tb.ID
 	}
-	var order []int
+	p.Order = make([]int, 0, n)
 	for len(ready) > 0 {
 		sort.Slice(ready, func(x, y int) bool { return less(ready[x], ready[y]) })
 		v := ready[0]
 		ready = ready[1:]
-		order = append(order, v)
+		p.Order = append(p.Order, v)
 		for _, w := range adj[v] {
 			indeg[w]--
 			if indeg[w] == 0 {
@@ -489,11 +465,11 @@ func (p *Plan) TopoOrder() ([]int, error) {
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("replan: precedence cycle (%d of %d ordered; stuck: %s)",
-			len(order), n, p.describeCycle(indeg))
+	if len(p.Order) != n {
+		return fmt.Errorf("replan: precedence cycle (%d of %d ordered; stuck: %s)",
+			len(p.Order), n, p.describeCycle(indeg))
 	}
-	return order, nil
+	return nil
 }
 
 // describeCycle walks one cycle among the tasks that never reached
@@ -535,33 +511,24 @@ func (p *Plan) describeCycle(indeg []int) string {
 	return "no explicit cycle found"
 }
 
-// Greedy rebuilds the schedule: tasks are placed in topological order at
-// the earliest conflict-free start after all predecessors end. This is
-// the sweep-line style assignment of the DAWO baseline and PDW's ILP
+// Greedy rebuilds the schedule: tasks are placed in Order at the
+// earliest conflict-free start after all predecessors end. This is the
+// sweep-line style assignment of the DAWO baseline and PDW's ILP
 // incumbent.
 func (p *Plan) Greedy() (*schedule.Schedule, error) {
-	order, err := p.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	out := schedule.New(p.Base.Chip, p.Base.Assay)
 	pl := schedule.NewPlacer(out)
 	preds := make([][]int, len(p.Tasks))
 	for _, e := range p.Edges {
 		preds[e[1]] = append(preds[e[1]], e[0])
 	}
-	placed := make([]*schedule.Task, len(p.Tasks))
-	for _, idx := range order {
+	ends := make([]int, len(p.Tasks))
+	for _, idx := range p.Order {
 		tpl := *p.Tasks[idx] // copy, keep plan immutable
 		t := &tpl
 		ready := 0
 		for _, pi := range preds[idx] {
-			if placed[pi] == nil {
-				return nil, fmt.Errorf("replan: predecessor of %s not yet placed", t.ID)
-			}
-			if placed[pi].End > ready {
-				ready = placed[pi].End
-			}
+			ready = max(ready, ends[pi])
 		}
 		if !t.Active() {
 			// Integrated removal: trail its wash with zero width.
@@ -569,13 +536,10 @@ func (p *Plan) Greedy() (*schedule.Schedule, error) {
 			if err := out.Add(t); err != nil {
 				return nil, err
 			}
-			placed[idx] = t
-			continue
-		}
-		if _, err := pl.Place(t, ready, p.Durations[idx]); err != nil {
+		} else if _, err := pl.Place(t, ready, p.Durations[idx]); err != nil {
 			return nil, err
 		}
-		placed[idx] = t
+		ends[idx] = t.End
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("replan: greedy rebuild invalid: %w", err)

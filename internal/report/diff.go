@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"pathdriverwash/internal/stats"
@@ -297,17 +296,6 @@ func classify(relDelta float64, significant bool, minDelta float64) Verdict {
 	return VerdictImproved
 }
 
-// Regressions returns the regressed pairs, in report order.
-func (r *DiffReport) Regressions() []MetricDiff {
-	var out []MetricDiff
-	for _, d := range r.Diffs {
-		if d.Verdict == VerdictRegressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Gate applies the perf-gate policy of `pdwbench -baseline` and
 // returns the violating pairs: any regression in a correctness metric
 // (n_wash, l_wash_mm, t_assay_s), a wall-time regression beyond
@@ -453,18 +441,4 @@ func formatDelta(rel float64) string {
 	default:
 		return fmt.Sprintf("%+.1f%%", rel*100)
 	}
-}
-
-// SortDiffs orders a diff slice by benchmark, then method, then
-// metric — handy for stable assertions over Gate output.
-func SortDiffs(ds []MetricDiff) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].Benchmark != ds[j].Benchmark {
-			return ds[i].Benchmark < ds[j].Benchmark
-		}
-		if ds[i].Method != ds[j].Method {
-			return ds[i].Method < ds[j].Method
-		}
-		return ds[i].Metric < ds[j].Metric
-	})
 }

@@ -421,28 +421,10 @@ func TestDiffReportConcurrentReads(t *testing.T) {
 				_ = r.Markdown()
 				_ = r.Gate(0.2)
 				_ = r.Counts()
-				_ = r.Regressions()
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-func TestSortDiffs(t *testing.T) {
-	ds := []MetricDiff{
-		{Benchmark: "B", Method: "pdw", Metric: "wall_s"},
-		{Benchmark: "A", Method: "pdw", Metric: "n_wash"},
-		{Benchmark: "A", Method: "dawo", Metric: "wall_s"},
-		{Benchmark: "A", Method: "dawo", Metric: "n_wash"},
-	}
-	SortDiffs(ds)
-	want := []string{"A/dawo/n_wash", "A/dawo/wall_s", "A/pdw/n_wash", "B/pdw/wall_s"}
-	for i, d := range ds {
-		got := d.Benchmark + "/" + d.Method + "/" + d.Metric
-		if got != want[i] {
-			t.Errorf("ds[%d] = %s, want %s", i, got, want[i])
-		}
-	}
 }
 
 // TestQualityThresholdCanceled pins the cancellation half of

@@ -549,10 +549,3 @@ func (s *Schedule) Gantt() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

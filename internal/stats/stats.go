@@ -1,34 +1,20 @@
 // Package stats is the small, dependency-free statistical toolkit
 // behind the benchmark regression radar (internal/report.Diff and
-// `pdwbench -compare / -baseline`): order statistics (median,
-// quartiles, IQR), percentile-bootstrap confidence intervals, and the
-// Mann–Whitney U rank-sum test used to decide whether two wall-time
-// sample sets differ significantly.
+// `pdwbench -compare / -baseline`): the median and the Mann–Whitney U
+// rank-sum test used to decide whether two wall-time sample sets
+// differ significantly.
 //
-// Everything is stdlib-only and deterministic: the bootstrap takes an
-// explicit seed, and the U test uses the exact null distribution for
-// small tie-free samples (the regime `pdwbench -count N` produces)
-// with the tie-corrected normal approximation as the large-sample /
-// tied fallback — the same discipline as Go's benchstat.
+// Everything is stdlib-only and deterministic: the U test uses the
+// exact null distribution for small tie-free samples (the regime
+// `pdwbench -count N` produces) with the tie-corrected normal
+// approximation as the large-sample / tied fallback — the same
+// discipline as Go's benchstat.
 package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
-
-// Mean returns the arithmetic mean, or NaN for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between closest ranks (R type 7, the numpy default).
@@ -40,12 +26,6 @@ func Quantile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
-}
-
-// quantileSorted is Quantile on an already-sorted slice, allocation
-// free (the bootstrap's hot path).
-func quantileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -65,49 +45,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 // even lengths), or NaN for an empty slice.
 func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)
-}
-
-// Quartiles returns the first quartile, median, and third quartile.
-func Quartiles(xs []float64) (q1, q2, q3 float64) {
-	if len(xs) == 0 {
-		nan := math.NaN()
-		return nan, nan, nan
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, 0.25), quantileSorted(sorted, 0.5), quantileSorted(sorted, 0.75)
-}
-
-// IQR returns the interquartile range q3-q1, the robust spread measure
-// the diff report prints alongside medians.
-func IQR(xs []float64) float64 {
-	q1, _, q3 := Quartiles(xs)
-	return q3 - q1
-}
-
-// BootstrapCI returns a percentile-bootstrap confidence interval for
-// stat(xs) at the given confidence level (e.g. 0.95), resampling xs
-// with replacement `resamples` times using the deterministic seed.
-// Degenerate inputs (empty xs, resamples <= 0) return NaN bounds.
-func BootstrapCI(xs []float64, confidence float64, resamples int, seed int64,
-	stat func([]float64) float64) (lo, hi float64) {
-
-	if len(xs) == 0 || resamples <= 0 || confidence <= 0 || confidence >= 1 {
-		return math.NaN(), math.NaN()
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sample := make([]float64, len(xs))
-	vals := make([]float64, resamples)
-	for i := 0; i < resamples; i++ {
-		for j := range sample {
-			sample[j] = xs[rng.Intn(len(xs))]
-		}
-		vals[i] = stat(sample)
-	}
-	sort.Float64s(vals)
-	tail := (1 - confidence) / 2
-	return quantileSorted(vals, tail), quantileSorted(vals, 1-tail)
 }
 
 // UTestResult is the outcome of a two-sided Mann–Whitney U test.

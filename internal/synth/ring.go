@@ -101,11 +101,11 @@ func buildRingChip(name string, specs []DeviceSpec, cfg Config) (*grid.Chip, err
 	// midpoints.
 	nf := cfg.FlowPorts
 	if nf <= 0 {
-		nf = maxInt(2, (total+2)/3)
+		nf = max(2, (total+2)/3)
 	}
 	nw := cfg.WastePorts
 	if nw <= 0 {
-		nw = maxInt(2, (total+2)/3)
+		nw = max(2, (total+2)/3)
 	}
 	flowSpots := []geom.Point{
 		{X: left, Y: 0}, {X: 0, Y: top}, {X: w / 2, Y: 0}, {X: 0, Y: h / 2},

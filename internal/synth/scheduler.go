@@ -63,8 +63,8 @@ func buildSchedule(a *assay.Assay, chip *grid.Chip, binding map[string]*grid.Dev
 			if err != nil {
 				return nil, err
 			}
-			readyOp = maxInt(readyOp, end)
-			readyOp = maxInt(readyOp, inj.End)
+			readyOp = max(readyOp, end)
+			readyOp = max(readyOp, inj.End)
 		}
 
 		// Incoming transports from predecessors.
@@ -94,8 +94,8 @@ func buildSchedule(a *assay.Assay, chip *grid.Chip, binding map[string]*grid.Dev
 			if err != nil {
 				return nil, err
 			}
-			readyOp = maxInt(readyOp, end)
-			readyOp = maxInt(readyOp, tr.End)
+			readyOp = max(readyOp, end)
+			readyOp = max(readyOp, tr.End)
 		}
 
 		// The operation itself. Device residue is deposited by the
@@ -135,7 +135,7 @@ func buildSchedule(a *assay.Assay, chip *grid.Chip, binding map[string]*grid.Dev
 			ID: "disp-" + opID, Kind: schedule.WasteDisposal,
 			Path: path, Fluid: assay.Waste, EdgeFrom: opID,
 			MinDuration: travelSeconds(chip, path),
-			ContamCells: append(tailContam(path, path.Cells[minInt(lastDev+1, path.Len()-1)]),
+			ContamCells: append(tailContam(path, path.Cells[min(lastDev+1, path.Len()-1)]),
 				dev.Cells()...), // residue stays in the emptied device
 		}
 		if _, err := pl.Place(disp, opTask.End, disp.MinDuration); err != nil {
@@ -194,13 +194,6 @@ func addRemoval(pl *schedule.Placer, chip *grid.Chip, opts route.Options,
 		return 0, err
 	}
 	return rm.End, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func containsPt(pts []geom.Point, p geom.Point) bool {

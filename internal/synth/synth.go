@@ -250,11 +250,11 @@ func buildChip(name string, specs []DeviceSpec, cfg Config) (*grid.Chip, error) 
 	// selection (Eq. 12) has real choices on every side.
 	nf := cfg.FlowPorts
 	if nf <= 0 {
-		nf = maxInt(2, (total+2)/3)
+		nf = max(2, (total+2)/3)
 	}
 	nw := cfg.WastePorts
 	if nw <= 0 {
-		nw = maxInt(2, (total+2)/3)
+		nw = max(2, (total+2)/3)
 	}
 	xStreets := streetCoords(cols)
 	yStreets := streetCoords(rows)
@@ -562,7 +562,7 @@ func classify(chip *grid.Chip, p grid.Path, src, dst *grid.Device) pathSegments 
 	}
 	// Excess cache: last up-to-2 channel cells before the device, kept in
 	// path order (a connected chain for FlushPath routing).
-	for i := maxInt(lastSrc+1, firstDst-2); i >= 0 && i < firstDst; i++ {
+	for i := max(lastSrc+1, firstDst-2); i >= 0 && i < firstDst; i++ {
 		seg.excess = append(seg.excess, p.Cells[i])
 	}
 	return seg
@@ -586,11 +586,4 @@ func tailContam(p grid.Path, from geom.Point) []geom.Point {
 		out = append(out, p.Cells[i])
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -84,6 +84,23 @@ if [ -n "$scans" ]; then
     echo "$scans" >&2
     exit 1
 fi
+# replan.Build sorts each plan once (Plan.Order), and a plan's free
+# pairs cost a transitive closure that only the exact window search
+# reads: no second topological sort in replan or pdw, and no free-pair
+# reader outside pdw.
+topo=$(grep -rlF --include='*.go' --exclude='*_test.go' 'TopoOrder(' internal/replan internal/pdw || true)
+if [ -n "$topo" ]; then
+    echo "a plan is sorted once, into replan.Plan.Order; TopoOrder( called from:" >&2
+    echo "$topo" >&2
+    exit 1
+fi
+free=$(grep -rlF --include='*.go' --exclude='*_test.go' '.FreePairs(' cmd internal pkg examples bench |
+    grep -v '^internal/pdw/' || true)
+if [ -n "$free" ]; then
+    echo "only the window search in internal/pdw reads a plan's free pairs; .FreePairs( called from:" >&2
+    echo "$free" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
